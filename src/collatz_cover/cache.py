@@ -15,7 +15,10 @@ rather than guessing.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
+import tempfile
 import zlib
 
 MAGIC = b"CSIG"
@@ -77,7 +80,9 @@ class SigmaCache:
         self._entries.clear()
 
     def save(self, path) -> None:
-        """Write all entries to ``path`` in the binary format above."""
+        """Write all entries to ``path`` in the binary format above. The
+        bytes go to a synced temp file that is renamed over ``path``, so a
+        crash leaves the old file or the new one, never a torn mix."""
         pairs = self.items()
         for key, value in pairs:
             if key > _U64_MAX or value > _U64_MAX:
@@ -86,8 +91,18 @@ class SigmaCache:
         for key, value in pairs:
             payload += _PAIR.pack(key, value)
         payload += _CRC.pack(zlib.crc32(payload))
-        with open(path, "wb") as fh:
-            fh.write(payload)
+        directory, name = os.path.split(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path, max_key: int = DEFAULT_MAX_KEY) -> "SigmaCache":

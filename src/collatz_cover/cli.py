@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .arith import BudgetExceededError, DEFAULT_BUDGET, sigma_infinity
 from .cache import CacheFormatError, SigmaCache
-from .covering import (CSV_HEADER, ProfileTable, classify, cover_audit,
-                       digit_root_class, residue_class)
+from .covering import (ProfileTable, classify, cover_audit, digit_root_class,
+                       profiles_to_csv, profiles_to_json, residue_class)
 from .mapgen import build_schema, build_sigma_schema, format_progression, render_str
 from .reports import (OUTCOME_DEFERRED, OUTCOME_PASS, report_to_json,
                       report_to_text)
@@ -48,7 +48,7 @@ class Config:
     budget: int = DEFAULT_BUDGET
     cache_path: str | None = None
     output_format: str = "text"
-    threads: int = 0  # resolved to available parallelism
+    threads: int = 1  # accepted and validated; range sweeps run serially
 
     def validate(self) -> None:
         if self.max_m < 1:
@@ -92,7 +92,7 @@ def _config_int(values: dict[str, str], key: str, fallback: int) -> int:
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
-    cfg = Config(threads=os.cpu_count() or 1)
+    cfg = Config()
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
         values = _parse_config_file(path)
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache", help="path of the persistent stopping-time cache")
     common.add_argument("--format", choices=("text", "csv", "json"),
                         help="output format (default text)")
-    common.add_argument("--threads", type=int, help="worker threads for range sweeps")
+    common.add_argument("--threads", type=int, help="accepted but unused: sweeps run serially")
     common.add_argument("--output", metavar="FILE", help="write data here instead of stdout")
     common.add_argument("--config", metavar="FILE",
                         help=f"key=value config file (also via ${CONFIG_ENV})")
@@ -210,11 +210,6 @@ def _open_cache(cfg: Config) -> SigmaCache:
     return SigmaCache()
 
 
-def _save_cache(cache: SigmaCache, cfg: Config) -> None:
-    if cfg.cache_path:
-        cache.save(cfg.cache_path)
-
-
 def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
     if args.class_index is not None and not 1 <= args.class_index <= 9:
         raise UsageError(f"class index must be in 1..9, got {args.class_index}")
@@ -223,14 +218,10 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
             if args.class_index is None or p.class_index == args.class_index]
     if cfg.output_format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for p in rows:
-            d = p.row_dict()
-            writer.writerow([d[field] for field in CSV_HEADER])
+        profiles_to_csv(rows, buf)
         text = buf.getvalue()
     elif cfg.output_format == "json":
-        text = json.dumps([p.row_dict() for p in rows], indent=2) + "\n"
+        text = profiles_to_json(rows)
     else:
         header = ("i", "r", "m", "v_offset", "odd", "even", "next")
         body = [(str(p.class_index), str(p.residue), str(p.m), str(p.v_offset),
@@ -293,7 +284,8 @@ def cmd_sigma(args: argparse.Namespace, cfg: Config) -> int:
     code = _emit(text, args.output)
     if code != EXIT_PASS:
         return code
-    _save_cache(cache, cfg)
+    if cfg.cache_path:
+        cache.save(cfg.cache_path)
     if any(sigma is None for _, sigma, *_ in results):
         return EXIT_DEFERRED
     return EXIT_PASS
@@ -353,7 +345,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     if cfg.output_format == "csv":
         raise UsageError("verify reports support text or json output")
     check = args.check
-    cache = _open_cache(cfg)
+    cache = None  # only the stopping-time checks read or write the cache file
     if check == "theorem1":
         report = verify_theorem1_symbolic(cfg.max_m)
     elif check == "conjecture1":
@@ -362,6 +354,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         report = verify_conjecture1(bound, start=start)
     elif check == "sigma-relation":
         bound = _require_flag(args.bound, "--bound", check)
+        cache = _open_cache(cfg)
         report = verify_sigma_relation(bound, cache, cfg.budget)
     elif check == "cover":
         bound = _require_flag(args.bound, "--bound", check)
@@ -375,6 +368,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         if args.class_index is not None and not 1 <= args.class_index <= 9:
             raise UsageError(f"class index must be in 1..9, got {args.class_index}")
         start = args.start if args.start is not None else 1
+        cache = _open_cache(cfg)
         report = verify_range(start, end, class_filter=args.class_index,
                               threads=cfg.threads, budget=cfg.budget,
                               cache=cache)
@@ -388,7 +382,8 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     else:
         text = report_to_text(report)
     code = _emit(text, args.output)
-    _save_cache(cache, cfg)
+    if code == EXIT_PASS and cache is not None and cfg.cache_path:
+        cache.save(cfg.cache_path)
     print(f"# {report.check_name}: {report.outcome} "
           f"({report.items_checked} items, {report.elapsed_s:.3f}s)",
           file=sys.stderr)
@@ -419,8 +414,17 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # decimal inputs of arbitrary length
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # decimal inputs of arbitrary length
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)  # the limit is process-global
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

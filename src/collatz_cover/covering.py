@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-
-import numpy as np
 
 from .arith import _require_odd, two_adic_valuation
 from .reports import Counterexample, Deferred, VerifyReport, build_report
@@ -30,10 +29,6 @@ from .reports import Counterexample, Deferred, VerifyReport, build_report
 RESIDUE_ORDER = (1, 5, 3, 13, 17, 15, 7, 11, 9)
 
 _CLASS_OF = {r: i for i, r in enumerate(RESIDUE_ORDER, start=1)}
-
-#: Largest modulus cover_audit will push through the vectorized path; beyond
-#: this, int64 would overflow and the pure-Python scan takes over.
-_VECTOR_LIMIT = 1 << 62
 
 CSV_HEADER = ("i", "r", "m", "v_offset", "d_offset", "d_modulus",
               "even_offset", "even_modulus", "next_offset")
@@ -158,14 +153,22 @@ class ProfileTable:
         return self.rows[(i - 1) * self.max_m: i * self.max_m]
 
     def to_csv(self, sink) -> None:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for p in self.rows:
-            row = p.row_dict()
-            writer.writerow([row[field] for field in CSV_HEADER])
+        profiles_to_csv(self.rows, sink)
 
     def to_json(self) -> str:
-        return json.dumps([p.row_dict() for p in self.rows], indent=2) + "\n"
+        return profiles_to_json(self.rows)
+
+
+def profiles_to_csv(profiles, sink) -> None:
+    """Write profile rows as CSV under CSV_HEADER."""
+    writer = csv.DictWriter(sink, CSV_HEADER, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(p.row_dict() for p in profiles)
+
+
+def profiles_to_json(profiles) -> str:
+    """Profile rows as an indented JSON array of row dicts."""
+    return json.dumps([p.row_dict() for p in profiles], indent=2) + "\n"
 
 
 def cyclic_recurrence_check(i: int, d: int) -> bool:
@@ -207,18 +210,16 @@ def digit_root_class(d: int) -> int:
     return _CLASS_OF[residue]
 
 
-def _membership_counts_vector(bound: int, profiles) -> "np.ndarray":
-    odds = np.arange(1, bound + 1, 2, dtype=np.int64)
-    counts = np.zeros(odds.shape, dtype=np.int32)
+def membership_counts(bound: int, profiles) -> array:
+    """How many of ``profiles`` contain each odd d <= bound, indexed by
+    (d-1)//2. Each progression is walked by its own stride, so the count
+    costs O(bound + len(profiles)) rather than a test per pair."""
+    size = (bound + 1) // 2
+    counts = array("I", [0]) * size
     for p in profiles:
-        counts += odds % p.d_modulus == p.d_offset
+        for index in range(p.d_offset // 2, size, p.d_modulus // 2):
+            counts[index] += 1
     return counts
-
-
-def _membership_counts_python(bound: int, profiles) -> list[int]:
-    mods = [(p.d_modulus, p.d_offset) for p in profiles]
-    return [sum(d % modulus == offset for modulus, offset in mods)
-            for d in range(1, bound + 1, 2)]
 
 
 def cover_audit(bound: int, max_m: int) -> VerifyReport:
@@ -236,10 +237,7 @@ def cover_audit(bound: int, max_m: int) -> VerifyReport:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
     profiles = [derive_profile(i, m)
                 for i in range(1, 10) for m in range(1, max_m + 1)]
-    if bound < _VECTOR_LIMIT and profiles[-1].d_modulus < _VECTOR_LIMIT:
-        counts = _membership_counts_vector(bound, profiles)
-    else:
-        counts = _membership_counts_python(bound, profiles)
+    counts = membership_counts(bound, profiles)
 
     counterexamples = []
     deferred = []
@@ -255,7 +253,7 @@ def cover_audit(bound: int, max_m: int) -> VerifyReport:
             multiply_matched.append(d)
             counterexamples.append(Counterexample(
                 d, "membership in exactly one progression",
-                f"{int(count)} progressions"))
+                f"{count} progressions"))
         else:
             unmatched.append(d)
             m = two_adic_valuation(3 * d + 1)[0]

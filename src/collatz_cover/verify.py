@@ -3,14 +3,13 @@
 The 162-row determinism claim is checked symbolically, as exact integer
 coefficient identities in n, not by sampling; the boundedness and
 stopping-time recurrence claims are audited over explicit ranges. The range
-sweep fans out over a worker pool but merges per-partition results in
-partition order, so its report is byte-identical for any worker count.
+sweep walks its partitions one after another in a single thread, so its
+report does not depend on the partition size or the requested worker count.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 from .arith import (BudgetExceededError, DEFAULT_BUDGET, sigma_infinity,
@@ -20,7 +19,7 @@ from .covering import (RESIDUE_ORDER, cyclic_recurrence_check, derive_profile,
                        residue_class)
 from .reports import Counterexample, Deferred, VerifyReport, build_report
 
-#: Odd integers per range-sweep task; sized to amortize cache contention.
+#: Odd integers per range-sweep partition; partitions are walked in order.
 PARTITION_SIZE = 1 << 16
 
 
@@ -199,8 +198,10 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     """Run reconstruction, boundedness, and the stopping-time recurrence over
     every odd integer in [start, end] (optionally one class only).
 
-    Work is split into fixed partitions of consecutive odd integers and
-    merged in partition order, so the report does not depend on ``threads``.
+    The odd integers are walked in fixed partitions of ``partition_size``,
+    one after another; neither that size nor ``threads`` changes the report.
+    ``threads`` is validated but has no effect: the sweep is pure Python, so
+    worker threads would only take turns on the interpreter lock.
     """
     t0 = perf_counter()
     if not 1 <= start <= end:
@@ -214,39 +215,16 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     if cache is None:
         cache = SigmaCache()
     first = start if start & 1 else start + 1
-    total_odds = max(0, (end - first) // 2 + 1)
-    partitions = [(first + 2 * lo, first + 2 * min(lo + partition_size, total_odds) - 1)
-                  for lo in range(0, total_odds, partition_size)]
-
-    def run_partition(span: tuple[int, int]):
-        lo, hi = span
-        counterexamples: list[Counterexample] = []
-        deferred: list[Deferred] = []
-        per_class = [0] * 10
-        items = 0
-        for d in range(lo, hi + 1, 2):
+    counterexamples: list[Counterexample] = []
+    deferred: list[Deferred] = []
+    per_class = [0] * 10
+    items = 0
+    for lo in range(first, end + 1, 2 * partition_size):
+        for d in range(lo, min(lo + 2 * partition_size, end + 1), 2):
             if class_filter is not None and d % 18 != RESIDUE_ORDER[class_filter - 1]:
                 continue
             items += 1
             per_class[_sweep_element(d, cache, budget, counterexamples, deferred)] += 1
-        return counterexamples, deferred, per_class, items
-
-    if threads == 1 or len(partitions) <= 1:
-        results = [run_partition(span) for span in partitions]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_partition, partitions))
-
-    counterexamples = []
-    deferred = []
-    per_class = [0] * 10
-    items = 0
-    for part_cx, part_def, part_counts, part_items in results:
-        counterexamples.extend(part_cx)
-        deferred.extend(part_def)
-        items += part_items
-        for i in range(1, 10):
-            per_class[i] += part_counts[i]
     return build_report(
         "range-sweep",
         {"start": start, "end": end, "class_filter": class_filter,

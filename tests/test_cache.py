@@ -1,3 +1,4 @@
+import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -162,3 +163,22 @@ def test_concurrent_writers_agree():
     for d in range(1, 400, 2):
         sigma_infinity(d, reference)
     assert dict(cache.items()) == dict(reference.items())
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "sigma.bin"
+    old = SigmaCache()
+    old.put(13, 9)
+    old.save(path)
+    new = SigmaCache()
+    new.put(27, 111)
+
+    def crash(src, dst):
+        raise OSError("simulated crash before rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        new.save(path)
+    monkeypatch.undo()
+    assert SigmaCache.load(path).items() == [(13, 9)]
+    assert os.listdir(tmp_path) == ["sigma.bin"]

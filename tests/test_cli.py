@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import collatz_cover
 from collatz_cover.cli import main
 
 
@@ -274,6 +279,60 @@ def test_cache_file_corruption_fails(capsys, tmp_path):
     code, _, err = run(capsys, "sigma", "13", "--cache", str(path))
     assert code == 1
     assert "checksum" in err
+
+
+def test_verify_ignores_cache_for_checks_without_walks(capsys, tmp_path):
+    path = tmp_path / "sigma.csig"
+    path.write_bytes(b"not a cache file")
+    code, out, _ = run(capsys, "verify", "theorem1", "--cache", str(path))
+    assert code == 0
+    assert "outcome: pass" in out
+    assert path.read_bytes() == b"not a cache file"
+
+
+def test_verify_cyclic_writes_no_cache(capsys, tmp_path):
+    path = tmp_path / "sigma.csig"
+    code, _, _ = run(capsys, "verify", "cyclic", "--cache", str(path))
+    assert code == 0
+    assert not path.exists()
+
+
+def test_verify_saves_no_cache_after_output_failure(capsys, tmp_path):
+    path = tmp_path / "sigma.csig"
+    code, _, err = run(capsys, "verify", "sigma-relation", "--bound", "201",
+                       "--cache", str(path),
+                       "--output", str(tmp_path / "missing" / "report.txt"))
+    assert code == 1
+    assert "error" in err
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-digit limit on this interpreter")
+def test_main_restores_int_digit_limit(capsys):
+    digits = "1" + "0" * 4998 + "1"  # 5000 digits, odd, above the default limit
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run(capsys, "sigma", digits)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 0
+    assert out.startswith(f"d={digits} sigma=")
+
+
+def test_cli_import_pulls_in_no_numpy_or_thread_pool():
+    src = str(Path(collatz_cover.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    probe = ("import sys, collatz_cover.cli; "
+             "print(sorted(m for m in ('numpy', 'concurrent.futures') "
+             "if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_help_exits_zero(capsys):

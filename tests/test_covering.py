@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from collatz_cover import (ProfileTable, RESIDUE_ORDER, classify, cover_audit,
                            cyclic_recurrence_check, derive_profile,
                            digit_root_class, digital_root, residue_class)
-from collatz_cover.covering import (CSV_HEADER, _membership_counts_python,
-                                    _membership_counts_vector)
+from collatz_cover.covering import CSV_HEADER, membership_counts
 from oracles import valuation_by_division
 
 odd_ints = st.integers(min_value=0, max_value=10**24).map(lambda k: 2 * k + 1)
@@ -177,11 +176,23 @@ def test_cover_audit_rejects_tiny_bound():
         cover_audit(2, 18)
 
 
-def test_membership_count_paths_agree():
+@pytest.mark.parametrize("bound", [3, 5001, 10007])
+def test_membership_counts_match_brute_force(bound):
+    # odd bounds are multiples of no modulus, so every stride ends mid-period
     profiles = [derive_profile(i, m) for i in range(1, 10) for m in range(1, 7)]
-    vectorized = _membership_counts_vector(5001, profiles)
-    plain = _membership_counts_python(5001, profiles)
-    assert list(vectorized) == plain
+    brute = [sum(d % p.d_modulus == p.d_offset for p in profiles)
+             for d in range(1, bound + 1, 2)]
+    assert list(membership_counts(bound, profiles)) == brute
+
+
+def test_membership_counts_do_not_wrap():
+    # a fault that repeats one progression 300 times must count 300, not 44
+    # and not an overflow error
+    repeated = [derive_profile(4, 3)] * 300  # 144n + 13
+    counts = membership_counts(1001, repeated)
+    members = range(13, 1002, 144)
+    assert [counts[d // 2] for d in members] == [300] * len(members)
+    assert sum(counts) == 300 * len(members)
 
 
 def test_cyclic_recurrence_examples():
