@@ -24,8 +24,9 @@ import zlib
 MAGIC = b"CSIG"
 FORMAT_VERSION = 1
 
-#: Keys at or above this bound are not admitted (write policy, not an error):
-#: bulk runs stay bounded in memory while small-value hits still pay off.
+#: Keys at or above this bound are not admitted (write policy, not an error).
+#: It drops the large values that walks climb through, not the entry count:
+#: memory still grows by one dict entry per admitted key, about 86 bytes.
 DEFAULT_MAX_KEY = 1 << 32
 
 _HEADER = struct.Struct("<4sBQ")

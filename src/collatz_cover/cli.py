@@ -354,7 +354,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         report = verify_conjecture1(bound, start=start)
     elif check == "sigma-relation":
         bound = _require_flag(args.bound, "--bound", check)
-        cache = _open_cache(cfg)
+        cache = _open_cache(cfg) if cfg.cache_path else None
         report = verify_sigma_relation(bound, cache, cfg.budget)
     elif check == "cover":
         bound = _require_flag(args.bound, "--bound", check)
@@ -368,7 +368,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         if args.class_index is not None and not 1 <= args.class_index <= 9:
             raise UsageError(f"class index must be in 1..9, got {args.class_index}")
         start = args.start if args.start is not None else 1
-        cache = _open_cache(cfg)
+        cache = _open_cache(cfg) if cfg.cache_path else None
         report = verify_range(start, end, class_filter=args.class_index,
                               threads=cfg.threads, budget=cfg.budget,
                               cache=cache)
@@ -382,7 +382,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     else:
         text = report_to_text(report)
     code = _emit(text, args.output)
-    if code == EXIT_PASS and cache is not None and cfg.cache_path:
+    if code == EXIT_PASS and cache is not None:
         cache.save(cfg.cache_path)
     print(f"# {report.check_name}: {report.outcome} "
           f"({report.items_checked} items, {report.elapsed_s:.3f}s)",

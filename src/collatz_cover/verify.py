@@ -3,24 +3,107 @@
 The 162-row determinism claim is checked symbolically, as exact integer
 coefficient identities in n, not by sampling; the boundedness and
 stopping-time recurrence claims are audited over explicit ranges. The range
-sweep walks its partitions one after another in a single thread, so its
-report does not depend on the partition size or the requested worker count.
+sweep and the recurrence audit keep the stopping times they find in a dense
+table of 4 bytes per odd value of their range, and run in one thread, so
+their reports do not depend on the requested worker count, the partition
+size, or the warmth of a cache.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from time import perf_counter
 
 from .arith import (BudgetExceededError, DEFAULT_BUDGET, sigma_infinity,
                     two_adic_valuation)
 from .cache import SigmaCache
-from .covering import (RESIDUE_ORDER, cyclic_recurrence_check, derive_profile,
-                       residue_class)
+from .covering import (_CLASS_OF, RESIDUE_ORDER, cyclic_recurrence_check,
+                       derive_profile, residue_class)
 from .reports import Counterexample, Deferred, VerifyReport, build_report
 
-#: Odd integers per range-sweep partition; partitions are walked in order.
+#: Default of ``verify_range``'s ``partition_size``, which no longer changes
+#: how the sweep runs.
 PARTITION_SIZE = 1 << 16
+
+
+#: Largest stopping time a table entry holds (array typecode "I").
+_TABLE_MAX = (1 << 32) - 1
+
+
+def _dense_sigma(first: int, end: int, budget: int, memo: SigmaCache):
+    """Stopping-time lookups backed by a dense table over the odd values of
+    [first, end], for odd first >= 1.
+
+    Returns ``(sigma, table)``. ``sigma(x)`` is the total stopping time of
+    odd x >= 1 and raises ``BudgetExceededError(x, budget)`` when that
+    exceeds ``budget``. ``table[(y - first) >> 1]`` holds sigma(y) for each
+    odd y in [first, end] resolved so far, 0 while unknown (sigma(1) = 0 is
+    never stored: 1 ends every walk). A lookup walks odd-to-odd until it
+    reaches 1, a known entry, or a value below ``first``, which
+    ``sigma_infinity`` resolves through ``memo``; it then stores every value
+    on the walk that lies inside [first, end]. Values above ``end`` are never
+    stored, so the table's 4 bytes per odd value bound the memory. The table
+    starts from the entries ``memo`` already holds for [first, end], such as
+    a loaded cache's, except values too large for its 32-bit cells.
+    """
+    table = array("I", [0]) * ((end - first) // 2 + 1)
+    memo_get = memo.get
+    if len(memo):
+        for k in range(len(table)):
+            known = memo_get(first + 2 * k)
+            if known is not None and known <= _TABLE_MAX:
+                table[k] = known
+
+    def sigma(start: int) -> int:
+        if first <= start <= end:
+            known = table[(start - first) >> 1]
+            if known:
+                if known > budget:
+                    raise BudgetExceededError(start, budget)
+                return known
+        x = start
+        steps = 0
+        path = []  # (index, unit steps consumed before it) per stored value
+        while x != 1:
+            if x < first:
+                tail = memo_get(x)
+                if tail is None:
+                    try:
+                        tail = sigma_infinity(x, memo, budget)
+                    except BudgetExceededError:
+                        raise BudgetExceededError(start, budget) from None
+                steps += tail
+                break
+            if x <= end:
+                index = (x - first) >> 1
+                known = table[index]
+                if known:
+                    steps += known
+                    break
+                path.append((index, steps))
+            x = 3 * x + 1
+            m = (x & -x).bit_length() - 1
+            x >>= m
+            steps += m + 1
+            if steps > budget:
+                raise BudgetExceededError(start, budget)
+        if steps > budget:  # resolved through a stored value, but past the ceiling
+            raise BudgetExceededError(start, budget)
+        for index, consumed in path:
+            table[index] = steps - consumed
+        return steps
+
+    return sigma, table
+
+
+def _share_table(table: array, first: int, cache: SigmaCache | None) -> None:
+    """Put the table's known entries into the caller's cache, if any."""
+    if cache is None:
+        return
+    for k, value in enumerate(table):
+        if value:
+            cache.put(first + 2 * k, value)
 
 
 def verify_theorem1_symbolic(max_m: int) -> VerifyReport:
@@ -94,12 +177,15 @@ def verify_conjecture1(bound: int, start: int = 1) -> VerifyReport:
 def verify_sigma_relation(bound: int, cache: SigmaCache | None = None,
                           budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Check sigma(d) == sigma((3d+1)/2^m) + m + 1 for all odd 1 < d <= bound,
-    plus the fixed worked pair sigma(13) = 9, sigma(5) = 5."""
+    plus the fixed worked pair sigma(13) = 9, sigma(5) = 5.
+
+    Stopping times come from a dense table over [3, bound], as in
+    ``verify_range``; a given cache receives the table's entries."""
     t0 = perf_counter()
     if bound < 3:
         raise ValueError(f"bound must be >= 3, got {bound}")
-    if cache is None:
-        cache = SigmaCache()
+    sigma, table = _dense_sigma(3, bound, budget,
+                                SigmaCache() if cache is None else cache)
     counterexamples = []
     deferred = []
     items = 0
@@ -107,8 +193,8 @@ def verify_sigma_relation(bound: int, cache: SigmaCache | None = None,
         items += 1
         m, target = two_adic_valuation(3 * d + 1)
         try:
-            sigma_d = sigma_infinity(d, cache, budget)
-            sigma_t = sigma_infinity(target, cache, budget)
+            sigma_d = sigma(d)
+            sigma_t = sigma(target)
         except BudgetExceededError as exc:
             deferred.append(Deferred(d, str(exc)))
             continue
@@ -117,10 +203,11 @@ def verify_sigma_relation(bound: int, cache: SigmaCache | None = None,
                 d, f"sigma {sigma_t + m + 1} (= sigma({target}) + {m + 1})",
                 str(sigma_d)))
     for value, expected in ((13, 9), (5, 5)):
-        actual = sigma_infinity(value, cache, budget)
+        actual = sigma(value)
         if actual != expected:
             counterexamples.append(Counterexample(
                 value, f"sigma {expected}", str(actual)))
+    _share_table(table, 3, cache)
     return build_report(
         "sigma-relation",
         {"bound": bound, "budget": budget},
@@ -161,36 +248,6 @@ def verify_cyclic(samples_per_class: int = 100, seed: int = 0) -> VerifyReport:
     )
 
 
-def _sweep_element(d: int, cache: SigmaCache, budget: int,
-                   counterexamples: list, deferred: list) -> int:
-    """All three per-element checks; returns the class index of d."""
-    i = residue_class(d)
-    m, target = two_adic_valuation(3 * d + 1)
-    p = derive_profile(i, m)
-    n, rem = divmod(d - p.d_offset, p.d_modulus)
-    if rem or n < 0:
-        counterexamples.append(Counterexample(
-            d, f"exact reconstruction {p.d_modulus}n + {p.d_offset}",
-            f"remainder {rem}"))
-        return i
-    if not 54 * n < target < 54 * (n + 1):
-        counterexamples.append(Counterexample(
-            d, f"next odd strictly inside (54*{n}, 54*{n + 1})", str(target)))
-    if d == 1:  # sigma(1) = 0 by termination; the recurrence needs d > 1
-        return i
-    try:
-        sigma_d = sigma_infinity(d, cache, budget)
-        sigma_t = sigma_infinity(target, cache, budget)
-    except BudgetExceededError as exc:
-        deferred.append(Deferred(d, str(exc)))
-        return i
-    if sigma_d != sigma_t + m + 1:
-        counterexamples.append(Counterexample(
-            d, f"sigma {sigma_t + m + 1} (= sigma({target}) + {m + 1})",
-            str(sigma_d)))
-    return i
-
-
 def verify_range(start: int, end: int, class_filter: int | None = None,
                  threads: int = 1, partition_size: int = PARTITION_SIZE,
                  budget: int = DEFAULT_BUDGET,
@@ -198,10 +255,15 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     """Run reconstruction, boundedness, and the stopping-time recurrence over
     every odd integer in [start, end] (optionally one class only).
 
-    The odd integers are walked in fixed partitions of ``partition_size``,
-    one after another; neither that size nor ``threads`` changes the report.
-    ``threads`` is validated but has no effect: the sweep is pure Python, so
-    worker threads would only take turns on the interpreter lock.
+    The odd integers are checked in ascending order in one loop. Their
+    stopping times go into a dense table over [start, end] (see
+    ``_dense_sigma``), so a walk usually stops at the first value below d it
+    meets, and the table holds 4 bytes per odd integer in the range. Values
+    below ``start`` resolve through ``cache``, or through a fresh memo
+    without one; a given cache also receives the table's entries after the
+    sweep. ``threads`` and ``partition_size`` are validated but have no
+    effect, and no argument but the range, the class and the budget changes
+    the report.
     """
     t0 = perf_counter()
     if not 1 <= start <= end:
@@ -212,19 +274,53 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
         raise ValueError(f"threads must be >= 1, got {threads}")
     if partition_size < 1:
         raise ValueError(f"partition_size must be >= 1, got {partition_size}")
-    if cache is None:
-        cache = SigmaCache()
     first = start if start & 1 else start + 1
+    if first > end:
+        raise ValueError(f"no odd integers in [{start}, {end}]")
+    step = 2
+    lo = first
+    if class_filter is not None:
+        step = 18
+        lo = first + (RESIDUE_ORDER[class_filter - 1] - first) % 18
+        if lo > end:
+            raise ValueError(
+                f"no odd integers of class {class_filter} in [{start}, {end}]")
+    sigma, table = _dense_sigma(first, end, budget,
+                                SigmaCache() if cache is None else cache)
     counterexamples: list[Counterexample] = []
     deferred: list[Deferred] = []
     per_class = [0] * 10
     items = 0
-    for lo in range(first, end + 1, 2 * partition_size):
-        for d in range(lo, min(lo + 2 * partition_size, end + 1), 2):
-            if class_filter is not None and d % 18 != RESIDUE_ORDER[class_filter - 1]:
-                continue
-            items += 1
-            per_class[_sweep_element(d, cache, budget, counterexamples, deferred)] += 1
+    for d in range(lo, end + 1, step):
+        items += 1
+        i = _CLASS_OF[d % 18]
+        per_class[i] += 1
+        x = 3 * d + 1
+        m = (x & -x).bit_length() - 1
+        target = x >> m
+        p = derive_profile(i, m)
+        n, rem = divmod(d - p.d_offset, p.d_modulus)
+        if rem or n < 0:
+            counterexamples.append(Counterexample(
+                d, f"exact reconstruction {p.d_modulus}n + {p.d_offset}",
+                f"remainder {rem}"))
+            continue
+        if not 54 * n < target < 54 * (n + 1):
+            counterexamples.append(Counterexample(
+                d, f"next odd strictly inside (54*{n}, 54*{n + 1})", str(target)))
+        if d == 1:  # sigma(1) = 0 by termination; the recurrence needs d > 1
+            continue
+        try:
+            sigma_d = sigma(d)
+            sigma_t = sigma(target)
+        except BudgetExceededError as exc:
+            deferred.append(Deferred(d, str(exc)))
+            continue
+        if sigma_d != sigma_t + m + 1:
+            counterexamples.append(Counterexample(
+                d, f"sigma {sigma_t + m + 1} (= sigma({target}) + {m + 1})",
+                str(sigma_d)))
+    _share_table(table, first, cache)
     return build_report(
         "range-sweep",
         {"start": start, "end": end, "class_filter": class_filter,

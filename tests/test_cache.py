@@ -4,6 +4,8 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from collatz_cover import CacheFormatError, SigmaCache, sigma_infinity
 
@@ -182,3 +184,48 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert SigmaCache.load(path).items() == [(13, 9)]
     assert os.listdir(tmp_path) == ["sigma.bin"]
+
+
+_valid_entries = st.lists(
+    st.tuples(st.integers(0, 2**20).map(lambda k: 2 * k + 1),
+              st.integers(0, 2**64 - 1)),
+    max_size=6, unique_by=lambda pair: pair[0]).map(sorted)
+
+
+def _reseal(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _load_or_reject(tmp_path, blob):
+    """Loading must give a valid cache or CacheFormatError, nothing else."""
+    path = _write(tmp_path, blob)
+    try:
+        loaded = SigmaCache.load(path)
+    except CacheFormatError:
+        return
+    keys = [key for key, _ in loaded.items()]
+    assert all(key & 1 for key in keys)
+    assert keys == sorted(set(keys))
+
+
+_fuzz = settings(max_examples=200, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_fuzz
+@given(blob=st.binary(max_size=120))
+def test_load_fuzz_random_bytes(tmp_path, blob):
+    _load_or_reject(tmp_path, blob)
+    _load_or_reject(tmp_path, _reseal(blob))  # past the checksum
+
+
+@_fuzz
+@given(entries=_valid_entries, position=st.integers(0, 10**6),
+       byte=st.integers(0, 255), reseal=st.booleans())
+def test_load_fuzz_single_byte_mutations(tmp_path, entries, position, byte,
+                                         reseal):
+    blob = bytearray(_valid_blob(entries))
+    blob[position % len(blob)] = byte
+    if reseal:  # fix the checksum so the structural checks are reached
+        blob = _reseal(bytes(blob[:-4]))
+    _load_or_reject(tmp_path, bytes(blob))

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import collatz_cover
+from collatz_cover import SigmaCache
 from collatz_cover.cli import main
+from oracles import unit_step_sigma_memo
 
 
 def run(capsys, *argv):
@@ -281,6 +283,24 @@ def test_cache_file_corruption_fails(capsys, tmp_path):
     assert "checksum" in err
 
 
+def test_verify_range_cache_holds_true_stopping_times(capsys, tmp_path):
+    path = tmp_path / "sigma.csig"
+    argv = ("verify", "range", "--end", "20001")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    for _ in range(2):  # cold, then warm
+        code, out, _ = run(capsys, *argv, "--cache", str(path))
+        assert code == 0
+        assert out == plain
+    entries = SigmaCache.load(path).items()
+    assert [key for key, _ in entries] == list(range(3, 20002, 2))
+    memo = {}
+    assert all(value == unit_step_sigma_memo(key, memo) for key, value in entries)
+    code, out, _ = run(capsys, "sigma", "27", "--cache", str(path))
+    assert code == 0
+    assert "sigma=111" in out
+
+
 def test_verify_ignores_cache_for_checks_without_walks(capsys, tmp_path):
     path = tmp_path / "sigma.csig"
     path.write_bytes(b"not a cache file")
@@ -348,6 +368,8 @@ def test_help_exits_zero(capsys):
     ("verify", "conjecture1", "--start", "0", "--bound", "9"),
     ("verify", "range"),
     ("verify", "cover", "--bound", "2"),
+    ("verify", "range", "--start", "2", "--end", "2"),
+    ("verify", "range", "--start", "3", "--end", "7", "--class", "9"),
 ])
 def test_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)

@@ -1,8 +1,22 @@
+import tracemalloc
+
 import pytest
 
 from collatz_cover import (SigmaCache, derive_profile, report_to_json,
-                           verify_conjecture1, verify_cyclic, verify_range,
-                           verify_sigma_relation, verify_theorem1_symbolic)
+                           residue_class, verify_conjecture1, verify_cyclic,
+                           verify_range, verify_sigma_relation,
+                           verify_theorem1_symbolic)
+from oracles import unit_step_sigma_memo
+
+
+def _oracle_deferred(first, end, budget):
+    memo = {}
+    return [d for d in range(first, end + 1, 2)
+            if d > 1 and unit_step_sigma_memo(d, memo) > budget]
+
+
+def _budget_reason(d, budget):
+    return f"budget exceeded: {d} not resolved within {budget} unit steps"
 
 
 def test_theorem1_at_default_depth():
@@ -66,6 +80,26 @@ def test_sigma_relation_defers_on_budget():
     deferred_inputs = [d.input for d in report.deferred]
     assert 27 in deferred_inputs  # sigma(27) = 111 > 20
     assert deferred_inputs == sorted(deferred_inputs)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("budget", [9, 20, 50, 110, 111, 150])
+def test_sigma_relation_defers_exactly_past_the_budget(budget, warm):
+    cache = SigmaCache() if warm else None
+    if warm:  # every stopping time known before the budgeted run
+        verify_sigma_relation(2001, cache)
+    report = verify_sigma_relation(2001, cache, budget=budget)
+    assert not report.counterexamples
+    assert [x.input for x in report.deferred] == _oracle_deferred(3, 2001, budget)
+    assert all(x.reason == _budget_reason(x.input, budget) for x in report.deferred)
+
+
+def test_sigma_relation_fills_a_given_cache_with_true_stopping_times():
+    cache = SigmaCache()
+    assert verify_sigma_relation(4001, cache).outcome == "pass"
+    memo = {}
+    assert all(cache.get(d) == unit_step_sigma_memo(d, memo)
+               for d in range(3, 4002, 2))
 
 
 def test_sigma_relation_rejects_bad_bound():
@@ -155,3 +189,72 @@ def test_range_parameters_exclude_worker_count():
     assert "threads" not in report.parameters
     assert report.parameters["start"] == 1
     assert report.parameters["end"] == 101
+
+
+def test_range_passes_every_odd_integer_to_1e5():
+    report = verify_range(1, 10**5)
+    assert report.outcome == "pass"
+    assert report.items_checked == 10**5 // 2
+    assert not report.deferred
+
+
+@pytest.mark.parametrize("start, end, class_filter", [
+    (5001, 20001, None),
+    (30000, 40000, None),
+    (1, 20001, 9),
+    (7001, 30001, 4),
+])
+def test_range_stopping_times_match_oracle(start, end, class_filter):
+    cache = SigmaCache()
+    report = verify_range(start, end, class_filter=class_filter, cache=cache)
+    assert report.outcome == "pass"
+    memo = {}
+    members = [d for d in range(start | 1, end + 1, 2)
+               if class_filter is None or residue_class(d) == class_filter]
+    assert report.items_checked == len(members)
+    for d in members:
+        assert d == 1 or cache.get(d) == unit_step_sigma_memo(d, memo), d
+    for key, value in cache.items():  # also the memo below start
+        assert value == unit_step_sigma_memo(key, memo), key
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("start", [1, 1001])
+@pytest.mark.parametrize("budget", [9, 20, 50, 110, 111, 150])
+def test_range_defers_exactly_past_the_budget(start, budget, warm):
+    end = start + 2000
+    cache = SigmaCache() if warm else None
+    if warm:  # every stopping time known before the budgeted run
+        verify_range(start, end, cache=cache)
+    report = verify_range(start, end, budget=budget, cache=cache)
+    assert not report.counterexamples
+    assert [x.input for x in report.deferred] == _oracle_deferred(start, end, budget)
+    assert all(x.reason == _budget_reason(x.input, budget) for x in report.deferred)
+
+
+def test_range_skips_cache_values_too_large_for_the_table():
+    cache = SigmaCache()
+    cache.put(27, 1 << 40)  # a well-formed file may hold any u64 value
+    report = verify_range(1, 101, cache=cache)
+    assert report.outcome == "pass"
+    assert cache.get(27) == 111
+
+
+def test_range_rejects_ranges_without_odd_members():
+    with pytest.raises(ValueError, match="no odd integers in"):
+        verify_range(2, 2)
+    with pytest.raises(ValueError, match="no odd integers of class 9"):
+        verify_range(3, 7, class_filter=9)
+    assert verify_range(9, 9, class_filter=9).items_checked == 1
+
+
+def test_range_memory_stays_dense():
+    # a dict memo of every stopping time met peaks at about 10 MiB on this
+    # range; the dense table holds 4 bytes per odd integer, 0.4 MB
+    tracemalloc.start()
+    try:
+        verify_range(1, 200001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
