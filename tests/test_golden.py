@@ -1,0 +1,50 @@
+"""Pinned stdout and exit codes of the listing commands in every format.
+
+Each fixture under ``data/golden/`` holds the exact stdout of one command,
+encoded as UTF-8, and ``exit_codes.json`` holds its exit code. A change to
+any listing's bytes, however small, fails here; a deliberate output change
+has to replace the fixture it touches.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from collatz_cover.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+BIG_30 = "123456789012345678901234567891"  # 30 digits, odd
+BIG_33 = "100000000000000000000000000000001"  # 33 digits, odd
+
+CASES = {
+    "table": ["table"],
+    "table-class9-m5": ["table", "--class", "9", "--max-m", "5"],
+    "map-schema": ["map", "schema"],
+    "map-schema-m3": ["map", "schema", "--max-m", "3"],
+    "map-sigma": ["map", "sigma"],
+    "sigma": ["sigma", "13", "5", "1", "27", "40", BIG_30],
+    "sigma-deferred": ["sigma", "27", "13", "--budget", "50"],
+    "classify": ["classify", "1", "5", "27", BIG_33],
+}
+
+FORMATS = ("text", "csv", "json")
+
+EXIT_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_listing_bytes_and_exit_code(capsys, name, fmt):
+    code = main([*CASES[name], "--format", fmt])
+    out = capsys.readouterr().out
+    key = f"{name}.{fmt}"
+    assert code == EXIT_CODES[key]
+    assert out.encode("utf-8") == (GOLDEN_DIR / key).read_bytes()
+
+
+def test_every_fixture_has_a_case():
+    keys = {f"{name}.{fmt}" for name in CASES for fmt in FORMATS}
+    assert set(EXIT_CODES) == keys
+    assert {p.name for p in GOLDEN_DIR.iterdir()} == keys | {"exit_codes.json"}
