@@ -12,8 +12,8 @@ from .cache import CacheFormatError, SigmaCache
 from .covering import (Profile, ProfileTable, RESIDUE_ORDER, classify,
                        cover_audit, cyclic_recurrence_check, derive_profile,
                        digit_root_class, digital_root, residue_class)
-from .mapgen import (SchemaRow, SchemaTable, SigmaSchemaRow, SigmaSchemaTable,
-                     build_schema, build_sigma_schema, render, render_str)
+from .mapgen import (SchemaTable, SigmaSchemaTable, build_schema,
+                     build_sigma_schema, render, render_str)
 from .reports import (Counterexample, Deferred, VerifyReport, build_report,
                       report_to_json, report_to_text)
 from .verify import (verify_conjecture1, verify_cyclic, verify_range,
@@ -24,9 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError", "CacheFormatError", "CollatzTrace", "Counterexample",
     "DEFAULT_BUDGET", "Deferred", "OddStep", "Profile", "ProfileTable",
-    "RESIDUE_ORDER", "SchemaRow", "SchemaTable", "SigmaCache", "SigmaSchemaRow",
-    "SigmaSchemaTable", "VerifyReport", "build_report", "build_schema",
-    "build_sigma_schema", "classify", "cover_audit", "cyclic_recurrence_check",
+    "RESIDUE_ORDER", "SchemaTable", "SigmaCache", "SigmaSchemaTable",
+    "VerifyReport", "build_report", "build_schema", "build_sigma_schema", "classify", "cover_audit", "cyclic_recurrence_check",
     "derive_profile", "digit_root_class", "digital_root", "four_d_plus_one",
     "odd_step", "render", "render_str", "report_to_json", "report_to_text",
     "residue_class", "sigma_infinity", "trace", "two_adic_valuation",

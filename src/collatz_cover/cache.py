@@ -43,9 +43,9 @@ class CacheFormatError(ValueError):
 class SigmaCache:
     """Map from odd integer to its total stopping time.
 
-    Writes are last-write-wins; every writer for a key stores the same value
-    (the stopping time is a function of the key), so concurrent use from
-    threads is benign.
+    Writes are last-write-wins; every writer for a key stores the same value,
+    since the stopping time is a function of the key. Every command uses its
+    cache from one thread: the range sweep runs serially.
     """
 
     def __init__(self, max_key: int = DEFAULT_MAX_KEY):

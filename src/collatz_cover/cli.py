@@ -11,9 +11,6 @@ Exit codes: 0 pass, 1 fail or I/O error, 2 usage error, 3 deferred-only.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -21,10 +18,10 @@ from dataclasses import dataclass
 from .arith import BudgetExceededError, DEFAULT_BUDGET, sigma_infinity
 from .cache import CacheFormatError, SigmaCache
 from .covering import (ProfileTable, classify, cover_audit, digit_root_class,
-                       profiles_to_csv, profiles_to_json, residue_class)
+                       residue_class)
 from .mapgen import build_schema, build_sigma_schema, format_progression, render_str
-from .reports import (OUTCOME_DEFERRED, OUTCOME_PASS, report_to_json,
-                      report_to_text)
+from .reports import (OUTCOME_DEFERRED, OUTCOME_PASS, aligned, render_rows,
+                      report_to_json, report_to_text)
 from .verify import (verify_conjecture1, verify_cyclic, verify_range,
                      verify_sigma_relation, verify_theorem1_symbolic)
 
@@ -181,14 +178,6 @@ def _emit(text: str, output: str | None) -> int:
     return EXIT_PASS
 
 
-def _aligned(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    table = [header, *rows]
-    widths = [max(len(row[col]) for row in table) for col in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in table]
-    return "\n".join(lines) + "\n"
-
-
 def _parse_values(raw_values, require_odd: bool) -> list[int]:
     values = []
     for raw in raw_values:
@@ -204,8 +193,12 @@ def _parse_values(raw_values, require_odd: bool) -> list[int]:
     return values
 
 
-def _open_cache(cfg: Config) -> SigmaCache:
-    if cfg.cache_path and os.path.exists(cfg.cache_path):
+def _open_cache(cfg: Config) -> SigmaCache | None:
+    """The --cache file's memo (empty while the file does not exist), or
+    None without --cache."""
+    if not cfg.cache_path:
+        return None
+    if os.path.exists(cfg.cache_path):
         return SigmaCache.load(cfg.cache_path)
     return SigmaCache()
 
@@ -213,24 +206,18 @@ def _open_cache(cfg: Config) -> SigmaCache:
 def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
     if args.class_index is not None and not 1 <= args.class_index <= 9:
         raise UsageError(f"class index must be in 1..9, got {args.class_index}")
-    table = ProfileTable.build(cfg.max_m)
-    rows = [p for p in table.rows
+    rows = [p.row_dict() for p in ProfileTable.build(cfg.max_m).rows
             if args.class_index is None or p.class_index == args.class_index]
-    if cfg.output_format == "csv":
-        buf = io.StringIO()
-        profiles_to_csv(rows, buf)
-        text = buf.getvalue()
-    elif cfg.output_format == "json":
-        text = profiles_to_json(rows)
-    else:
-        header = ("i", "r", "m", "v_offset", "odd", "even", "next")
-        body = [(str(p.class_index), str(p.residue), str(p.m), str(p.v_offset),
-                 format_progression(p.d_modulus, p.d_offset),
-                 format_progression(p.even_modulus, p.even_offset),
-                 format_progression(p.next_modulus, p.next_offset))
-                for p in rows]
-        text = _aligned(header, body)
-    return _emit(text, args.output)
+    return _emit(render_rows(rows, cfg.output_format, _table_text), args.output)
+
+
+def _table_text(rows: list[dict]) -> str:
+    return aligned([("i", "r", "m", "v_offset", "odd", "even", "next")] + [
+        (str(r["i"]), str(r["r"]), str(r["m"]), str(r["v_offset"]),
+         format_progression(r["d_modulus"], r["d_offset"]),
+         format_progression(r["even_modulus"], r["even_offset"]),
+         format_progression(54, r["next_offset"]))
+        for r in rows])
 
 
 def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
@@ -244,55 +231,39 @@ def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_sigma(args: argparse.Namespace, cfg: Config) -> int:
     values = _parse_values(args.values, require_odd=False)
     cache = _open_cache(cfg)
-    results = []  # (d, sigma|None, class|None, m|None, next|None)
+    rows = []
     for d in values:
         try:
             sigma = sigma_infinity(d, cache, cfg.budget)
         except BudgetExceededError:
-            results.append((d, None, None, None, None))
-            continue
-        if d & 1:
+            sigma = None
+        row = {"d": d, "sigma": sigma, "class": None, "m": None, "next": None}
+        if sigma is not None and d & 1:
             profile, _n = classify(d)
-            results.append((d, sigma, profile.class_index, profile.m,
-                            (3 * d + 1) >> profile.m))
-        else:
-            results.append((d, sigma, None, None, None))
-    if cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("d", "sigma", "class", "m", "next", "status"))
-        for d, sigma, i, m, nxt in results:
-            status = "ok" if sigma is not None else "deferred"
-            writer.writerow([d, _blank(sigma), _blank(i), _blank(m),
-                             _blank(nxt), status])
-        text = buf.getvalue()
-    elif cfg.output_format == "json":
-        text = json.dumps([
-            {"d": d, "sigma": sigma, "class": i, "m": m, "next": nxt,
-             "status": "ok" if sigma is not None else "deferred"}
-            for d, sigma, i, m, nxt in results], indent=2) + "\n"
-    else:
-        lines = []
-        for d, sigma, i, m, nxt in results:
-            if sigma is None:
-                lines.append(f"d={d} deferred budget-exceeded")
-            elif i is None:
-                lines.append(f"d={d} sigma={sigma} class=- m=- next=-")
-            else:
-                lines.append(f"d={d} sigma={sigma} class={i} m={m} next={nxt}")
-        text = "\n".join(lines) + "\n"
-    code = _emit(text, args.output)
+            row.update({"class": profile.class_index, "m": profile.m,
+                        "next": (3 * d + 1) >> profile.m})
+        row["status"] = "deferred" if sigma is None else "ok"
+        rows.append(row)
+    code = _emit(render_rows(rows, cfg.output_format, _sigma_text), args.output)
     if code != EXIT_PASS:
         return code
-    if cfg.cache_path:
+    if cache is not None:
         cache.save(cfg.cache_path)
-    if any(sigma is None for _, sigma, *_ in results):
+    if any(row["sigma"] is None for row in rows):
         return EXIT_DEFERRED
     return EXIT_PASS
 
 
-def _blank(value) -> str:
-    return "" if value is None else str(value)
+def _sigma_text(rows: list[dict]) -> str:
+    lines = []
+    for r in rows:
+        if r["sigma"] is None:
+            lines.append(f"d={r['d']} deferred budget-exceeded\n")
+        else:
+            facts = " ".join(f"{key}={'-' if r[key] is None else r[key]}"
+                             for key in ("class", "m", "next"))
+            lines.append(f"d={r['d']} sigma={r['sigma']} {facts}\n")
+    return "".join(lines)
 
 
 def cmd_classify(args: argparse.Namespace, cfg: Config) -> int:
@@ -306,33 +277,19 @@ def cmd_classify(args: argparse.Namespace, cfg: Config) -> int:
                   f"mod gives {by_mod}, digit root gives {by_digits}",
                   file=sys.stderr)
             return EXIT_FAIL
-        profile, n = classify(d)
-        rows.append((d, by_mod, by_digits, profile, n,
-                     (3 * d + 1) >> profile.m))
-    if cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("d", "class", "digit_root_class", "residue", "m",
-                         "d_modulus", "d_offset", "n", "next"))
-        for d, by_mod, by_digits, p, n, nxt in rows:
-            writer.writerow([d, by_mod, by_digits, p.residue, p.m,
-                             p.d_modulus, p.d_offset, n, nxt])
-        text = buf.getvalue()
-    elif cfg.output_format == "json":
-        text = json.dumps([
-            {"d": d, "class": by_mod, "digit_root_class": by_digits,
-             "residue": p.residue, "m": p.m, "d_modulus": p.d_modulus,
-             "d_offset": p.d_offset, "n": n, "next": nxt}
-            for d, by_mod, by_digits, p, n, nxt in rows], indent=2) + "\n"
-    else:
-        lines = [
-            f"d={d} class={by_mod} digit_root_class={by_digits} "
-            f"residue={p.residue} m={p.m} "
-            f"progression={p.d_modulus}n+{p.d_offset} n={n} next={nxt}"
-            for d, by_mod, by_digits, p, n, nxt in rows
-        ]
-        text = "\n".join(lines) + "\n"
-    return _emit(text, args.output)
+        p, n = classify(d)
+        rows.append({"d": d, "class": by_mod, "digit_root_class": by_digits,
+                     "residue": p.residue, "m": p.m, "d_modulus": p.d_modulus,
+                     "d_offset": p.d_offset, "n": n, "next": (3 * d + 1) >> p.m})
+    return _emit(render_rows(rows, cfg.output_format, _classify_text), args.output)
+
+
+def _classify_text(rows: list[dict]) -> str:
+    return "".join(
+        f"d={r['d']} class={r['class']} digit_root_class={r['digit_root_class']} "
+        f"residue={r['residue']} m={r['m']} "
+        f"progression={r['d_modulus']}n+{r['d_offset']} n={r['n']} next={r['next']}\n"
+        for r in rows)
 
 
 def _require_flag(value, flag: str, check: str):
@@ -354,7 +311,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         report = verify_conjecture1(bound, start=start)
     elif check == "sigma-relation":
         bound = _require_flag(args.bound, "--bound", check)
-        cache = _open_cache(cfg) if cfg.cache_path else None
+        cache = _open_cache(cfg)
         report = verify_sigma_relation(bound, cache, cfg.budget)
     elif check == "cover":
         bound = _require_flag(args.bound, "--bound", check)
@@ -368,7 +325,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         if args.class_index is not None and not 1 <= args.class_index <= 9:
             raise UsageError(f"class index must be in 1..9, got {args.class_index}")
         start = args.start if args.start is not None else 1
-        cache = _open_cache(cfg) if cfg.cache_path else None
+        cache = _open_cache(cfg)
         report = verify_range(start, end, class_filter=args.class_index,
                               threads=cfg.threads, budget=cfg.budget,
                               cache=cache)

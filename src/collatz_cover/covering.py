@@ -14,15 +14,14 @@ derives each one by the Chinese Remainder Theorem, for any m.
 
 from __future__ import annotations
 
-import csv
-import json
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
 
 from .arith import _require_odd, two_adic_valuation
-from .reports import Counterexample, Deferred, VerifyReport, build_report
+from .reports import (Counterexample, Deferred, VerifyReport, build_report,
+                      rows_to_csv, rows_to_json)
 
 #: The reordering of the odd residues mod 18 that makes d -> 4d+1 advance the
 #: class index by one (wrapping 9 -> 1).
@@ -153,22 +152,10 @@ class ProfileTable:
         return self.rows[(i - 1) * self.max_m: i * self.max_m]
 
     def to_csv(self, sink) -> None:
-        profiles_to_csv(self.rows, sink)
+        sink.write(rows_to_csv([p.row_dict() for p in self.rows]))
 
     def to_json(self) -> str:
-        return profiles_to_json(self.rows)
-
-
-def profiles_to_csv(profiles, sink) -> None:
-    """Write profile rows as CSV under CSV_HEADER."""
-    writer = csv.DictWriter(sink, CSV_HEADER, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(p.row_dict() for p in profiles)
-
-
-def profiles_to_json(profiles) -> str:
-    """Profile rows as an indented JSON array of row dicts."""
-    return json.dumps([p.row_dict() for p in profiles], indent=2) + "\n"
+        return rows_to_json([p.row_dict() for p in self.rows])
 
 
 def cyclic_recurrence_check(i: int, d: int) -> bool:

@@ -1,5 +1,5 @@
-"""The generalized map and the stopping-time map as structured tables, plus
-text/CSV/JSON rendering.
+"""The generalized map and the stopping-time map as views of the progression
+table, plus text/CSV/JSON rendering.
 
 The generalized map arranges, per class column, three stacked sections:
 
@@ -9,111 +9,80 @@ The generalized map arranges, per class column, three stacked sections:
 
 The stopping-time map carries the same layout symbolically: the three
 sections of row (i, m) read sigma(54n+a)+(m+1), sigma(54n+a)+m, and
-sigma(54n+a). All builders are pure; renderers write deterministic bytes.
+sigma(54n+a). Both maps hold the table's ``Profile`` rows and differ only in
+how a row renders. All builders are pure; renderers write deterministic bytes.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass
 
-from .covering import derive_profile
-
-FORMATS = ("text", "csv", "json")
-
-SCHEMA_CSV_HEADER = ("i", "m", "odd_modulus", "odd_offset", "even_modulus",
-                     "even_offset", "next_modulus", "next_offset", "starred")
-SIGMA_CSV_HEADER = ("i", "m", "base_residue", "odd_increment",
-                    "even_increment", "next_increment")
+from .covering import Profile, ProfileTable
+from .reports import FORMATS, aligned, rows_to_csv
 
 
-@dataclass(frozen=True)
-class SchemaRow:
-    """Row (i, m) of the generalized map; starred rows open their section."""
+class SchemaTable(ProfileTable):
+    """The generalized map; the m = 1 rows are starred, as they open their
+    section."""
 
-    class_index: int
-    m: int
-    odd_modulus: int
-    odd_offset: int
-    even_modulus: int
-    even_offset: int
-    next_modulus: int
-    next_offset: int
-    starred: bool
+    kind = "collatz-map"
 
+    def cells(self, p: Profile) -> tuple[str, str, str]:
+        starred = p.m == 1
+        return (format_progression(p.d_modulus, p.d_offset, starred),
+                format_progression(p.even_modulus, p.even_offset, starred),
+                format_progression(p.next_modulus, p.next_offset, starred))
 
-@dataclass(frozen=True)
-class SigmaSchemaRow:
-    """Row (i, m) of the stopping-time map: one base residue, three offsets
-    onto sigma(54n + base_residue)."""
+    def csv_row(self, p: Profile) -> dict:
+        return {"i": p.class_index, "m": p.m,
+                "odd_modulus": p.d_modulus, "odd_offset": p.d_offset,
+                "even_modulus": p.even_modulus, "even_offset": p.even_offset,
+                "next_modulus": p.next_modulus, "next_offset": p.next_offset,
+                "starred": str(p.m == 1).lower()}
 
-    class_index: int
-    m: int
-    base_residue: int
-    odd_increment: int
-    even_increment: int
-    next_increment: int
-
-
-@dataclass(frozen=True)
-class SchemaTable:
-    max_m: int
-    rows: tuple[SchemaRow, ...]
-
-    def column(self, i: int) -> tuple[SchemaRow, ...]:
-        return self.rows[(i - 1) * self.max_m: i * self.max_m]
+    def json_row(self, p: Profile) -> dict:
+        return {"i": p.class_index, "m": p.m,
+                "odd": {"modulus": p.d_modulus, "offset": p.d_offset},
+                "even": {"modulus": p.even_modulus, "offset": p.even_offset},
+                "next": {"modulus": p.next_modulus, "offset": p.next_offset},
+                "starred": p.m == 1}
 
 
-@dataclass(frozen=True)
-class SigmaSchemaTable:
-    max_m: int
-    rows: tuple[SigmaSchemaRow, ...]
+class SigmaSchemaTable(ProfileTable):
+    """The stopping-time map: row (i, m) adds the increments m+1, m and 0 to
+    sigma(54n + a), with base residue a = next_offset."""
 
-    def column(self, i: int) -> tuple[SigmaSchemaRow, ...]:
-        return self.rows[(i - 1) * self.max_m: i * self.max_m]
+    kind = "stopping-time-map"
+
+    @staticmethod
+    def increments(p: Profile) -> dict:
+        return {"odd": p.m + 1, "even": p.m, "next": 0}
+
+    def cells(self, p: Profile) -> tuple[str, str, str]:
+        return tuple(format_sigma_term(p.next_offset, k)
+                     for k in self.increments(p).values())
+
+    def csv_row(self, p: Profile) -> dict:
+        return {"i": p.class_index, "m": p.m, "base_residue": p.next_offset,
+                **{f"{section}_increment": k
+                   for section, k in self.increments(p).items()}}
+
+    def json_row(self, p: Profile) -> dict:
+        return {"i": p.class_index, "m": p.m, "base_residue": p.next_offset,
+                "increments": self.increments(p)}
 
 
+# Both builders take ProfileTable.build's rows rather than calling the
+# inherited classmethod, so that a wrapper installed on ProfileTable.build
+# (as the benchmark's tracer does) cannot change which table comes back.
 def build_schema(max_m: int) -> SchemaTable:
     """Generalized map for all 9 classes and exponents 1..max_m."""
-    if max_m < 1:
-        raise ValueError(f"max_m must be >= 1, got {max_m}")
-    rows = []
-    for i in range(1, 10):
-        for m in range(1, max_m + 1):
-            p = derive_profile(i, m)
-            rows.append(SchemaRow(
-                class_index=i,
-                m=m,
-                odd_modulus=p.d_modulus,
-                odd_offset=p.d_offset,
-                even_modulus=p.even_modulus,
-                even_offset=p.even_offset,
-                next_modulus=p.next_modulus,
-                next_offset=p.next_offset,
-                starred=m == 1,
-            ))
-    return SchemaTable(max_m, tuple(rows))
+    return SchemaTable(max_m, ProfileTable.build(max_m).rows)
 
 
 def build_sigma_schema(max_m: int) -> SigmaSchemaTable:
     """Stopping-time map for all 9 classes and exponents 1..max_m."""
-    if max_m < 1:
-        raise ValueError(f"max_m must be >= 1, got {max_m}")
-    rows = []
-    for i in range(1, 10):
-        for m in range(1, max_m + 1):
-            a = derive_profile(i, m).next_offset
-            rows.append(SigmaSchemaRow(
-                class_index=i,
-                m=m,
-                base_residue=a,
-                odd_increment=m + 1,
-                even_increment=m,
-                next_increment=0,
-            ))
-    return SigmaSchemaTable(max_m, tuple(rows))
+    return SigmaSchemaTable(max_m, ProfileTable.build(max_m).rows)
 
 
 def format_progression(modulus: int, offset: int, starred: bool = False) -> str:
@@ -125,114 +94,22 @@ def format_sigma_term(base_residue: int, increment: int) -> str:
     return f"{term}+{increment}" if increment else term
 
 
-def _schema_cells(table: SchemaTable, i: int) -> list[str]:
-    cells = [f"Odd d_{i}"]
-    cells += [format_progression(r.odd_modulus, r.odd_offset, r.starred)
-              for r in table.column(i)]
-    cells.append(f"Even_{i}")
-    cells += [format_progression(r.even_modulus, r.even_offset, r.starred)
-              for r in table.column(i)]
-    cells.append(f"Odd d_{i}_next")
-    cells += [format_progression(r.next_modulus, r.next_offset, r.starred)
-              for r in table.column(i)]
-    return cells
-
-
-def _sigma_cells(table: SigmaSchemaTable, i: int) -> list[str]:
-    cells = [f"Odd d_{i}"]
-    cells += [format_sigma_term(r.base_residue, r.odd_increment)
-              for r in table.column(i)]
-    cells.append(f"Even_{i}")
-    cells += [format_sigma_term(r.base_residue, r.even_increment)
-              for r in table.column(i)]
-    cells.append(f"Odd d_{i}_next")
-    cells += [format_sigma_term(r.base_residue, r.next_increment)
-              for r in table.column(i)]
-    return cells
-
-
-def _render_text(table) -> str:
-    cells_fn = _schema_cells if isinstance(table, SchemaTable) else _sigma_cells
-    columns = [cells_fn(table, i) for i in range(1, 10)]
-    widths = [max(len(cell) for cell in col) for col in columns]
-    lines = []
-    for row_cells in zip(*columns):
-        line = "  ".join(cell.ljust(width)
-                         for cell, width in zip(row_cells, widths))
-        lines.append(line.rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(table) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if isinstance(table, SchemaTable):
-        writer.writerow(SCHEMA_CSV_HEADER)
-        for r in table.rows:
-            writer.writerow([r.class_index, r.m, r.odd_modulus, r.odd_offset,
-                             r.even_modulus, r.even_offset, r.next_modulus,
-                             r.next_offset, str(r.starred).lower()])
-    else:
-        writer.writerow(SIGMA_CSV_HEADER)
-        for r in table.rows:
-            writer.writerow([r.class_index, r.m, r.base_residue,
-                             r.odd_increment, r.even_increment,
-                             r.next_increment])
-    return buf.getvalue()
-
-
-def _render_json(table) -> str:
-    if isinstance(table, SchemaTable):
-        obj = {
-            "kind": "collatz-map",
-            "max_m": table.max_m,
-            "classes": {
-                str(i): [
-                    {
-                        "i": r.class_index,
-                        "m": r.m,
-                        "odd": {"modulus": r.odd_modulus, "offset": r.odd_offset},
-                        "even": {"modulus": r.even_modulus, "offset": r.even_offset},
-                        "next": {"modulus": r.next_modulus, "offset": r.next_offset},
-                        "starred": r.starred,
-                    }
-                    for r in table.column(i)
-                ]
-                for i in range(1, 10)
-            },
-        }
-    else:
-        obj = {
-            "kind": "stopping-time-map",
-            "max_m": table.max_m,
-            "classes": {
-                str(i): [
-                    {
-                        "i": r.class_index,
-                        "m": r.m,
-                        "base_residue": r.base_residue,
-                        "increments": {
-                            "odd": r.odd_increment,
-                            "even": r.even_increment,
-                            "next": r.next_increment,
-                        },
-                    }
-                    for r in table.column(i)
-                ]
-                for i in range(1, 10)
-            },
-        }
-    return json.dumps(obj, indent=2) + "\n"
+def _text_column(table, i: int) -> list[str]:
+    odd, even, nxt = zip(*map(table.cells, table.column(i)))
+    return [f"Odd d_{i}", *odd, f"Even_{i}", *even, f"Odd d_{i}_next", *nxt]
 
 
 def render_str(table, fmt: str) -> str:
     """Render a schema or stopping-time table to one of FORMATS."""
     if fmt == "text":
-        return _render_text(table)
+        return aligned(list(zip(*(_text_column(table, i) for i in range(1, 10)))))
     if fmt == "csv":
-        return _render_csv(table)
+        return rows_to_csv([table.csv_row(p) for p in table.rows])
     if fmt == "json":
-        return _render_json(table)
+        classes = {str(i): [table.json_row(p) for p in table.column(i)]
+                   for i in range(1, 10)}
+        return json.dumps({"kind": table.kind, "max_m": table.max_m,
+                           "classes": classes}, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 

@@ -1,4 +1,5 @@
-"""Machine-readable outcomes for theorem, conjecture, and range audits.
+"""Machine-readable outcomes for theorem, conjecture, and range audits, and
+the one text/CSV/JSON renderer that every row listing goes through.
 
 A report fails exactly when it carries counterexamples; checks that were
 skipped for a stated reason (valuation deeper than the table, budget
@@ -11,13 +12,18 @@ bytes; pass ``include_elapsed=True`` to embed ``elapsed_ms``.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 OUTCOME_PASS = "pass"
 OUTCOME_FAIL = "fail"
 OUTCOME_DEFERRED = "deferred"
+
+FORMATS = ("text", "csv", "json")
 
 
 class Counterexample(NamedTuple):
@@ -99,3 +105,36 @@ def report_to_text(report: VerifyReport, max_listed: int = 10) -> str:
     for key in report.details:
         lines.append(f"{key}: {report.details[key]}")
     return "\n".join(lines) + "\n"
+
+
+def rows_to_csv(rows: list[dict]) -> str:
+    """CSV under a header of the first row's keys; None becomes an empty cell."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def rows_to_json(rows: list[dict]) -> str:
+    return json.dumps(rows, indent=2) + "\n"
+
+
+def render_rows(rows: list[dict], fmt: str,
+                text: Callable[[list[dict]], str]) -> str:
+    """One listing in one of FORMATS; ``text(rows)`` supplies the text form."""
+    if fmt == "csv":
+        return rows_to_csv(rows)
+    if fmt == "json":
+        return rows_to_json(rows)
+    if fmt == "text":
+        return text(rows)
+    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def aligned(rows: list[tuple[str, ...]]) -> str:
+    """Rows of string cells as left-justified columns two spaces apart, with
+    the trailing blanks of each line stripped."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                   + "\n" for row in rows)

@@ -1,13 +1,15 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one pass/fail line (visible with pytest -s)."""
 
+import json
 from contextlib import contextmanager
 from time import perf_counter
 
 from collatz_cover import (ProfileTable, build_schema, build_sigma_schema,
-                           cover_audit, digit_root_class, report_to_json,
-                           residue_class, sigma_infinity, verify_conjecture1,
-                           verify_range, verify_theorem1_symbolic)
+                           cover_audit, digit_root_class, render_str,
+                           report_to_json, residue_class, sigma_infinity,
+                           verify_conjecture1, verify_range,
+                           verify_theorem1_symbolic)
 from collatz_cover.cli import main
 from oracles import unit_step_sigma_memo, valuation_by_division
 
@@ -74,21 +76,23 @@ def test_criterion_03_theorem1_symbolic():
 def test_criterion_04_map_fidelity(reference_tables):
     with criterion(4, "generalized and stopping-time map fidelity"):
         start = perf_counter()
-        schema = build_schema(18)
+        schema = json.loads(render_str(build_schema(18), "json"))
         for i in range(1, 10):
             expected = reference_tables["schema_columns"][str(i)]
-            got = schema.column(i)
-            assert [[r.odd_modulus, r.odd_offset] for r in got] == expected["odd"]
-            assert [[r.even_modulus, r.even_offset] for r in got] == expected["even"]
-            assert [[r.next_modulus, r.next_offset] for r in got] == expected["next"]
-        sigma_schema = build_sigma_schema(18)
-        for row in sigma_schema.rows:
-            assert (row.odd_increment, row.even_increment, row.next_increment) == \
-                (row.m + 1, row.m, 0)
+            got = schema["classes"][str(i)]
+            for section in ("odd", "even", "next"):
+                assert [[r[section]["modulus"], r[section]["offset"]]
+                        for r in got] == expected[section]
+        sigma_schema = json.loads(render_str(build_sigma_schema(18), "json"))
         for i in range(1, 10):
+            got = sigma_schema["classes"][str(i)]
+            for row in got:
+                assert row["increments"] == \
+                    {"odd": row["m"] + 1, "even": row["m"], "next": 0}
             expected = reference_tables["sigma_columns"][str(i)]
-            got = sigma_schema.column(i)
-            assert [[r.base_residue, r.odd_increment] for r in got] == expected["odd"]
+            for section in ("odd", "even", "next"):
+                assert [[r["base_residue"], r["increments"][section]]
+                        for r in got] == expected[section]
         assert perf_counter() - start < 1.0
 
 

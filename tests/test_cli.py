@@ -92,6 +92,16 @@ def test_sigma_budget_deferral(capsys):
     assert "deferred" in out
 
 
+def test_sigma_builds_no_cache_without_the_flag(capsys, monkeypatch):
+    def no_cache(*_args, **_kwargs):
+        raise AssertionError("a SigmaCache was built without --cache")
+
+    monkeypatch.setattr("collatz_cover.cli.SigmaCache", no_cache)
+    code, out, _ = run(capsys, "sigma", "27", "40")
+    assert code == 0
+    assert out.splitlines()[0] == "d=27 sigma=111 class=9 m=1 next=41"
+
+
 def test_sigma_arbitrary_precision(capsys):
     d = 10**50 + 1
     code, out, _ = run(capsys, "sigma", str(d))
@@ -177,6 +187,18 @@ def test_verify_sigma_relation(capsys):
     code, out, _ = run(capsys, "verify", "sigma-relation", "--bound", "2001")
     assert code == 0
     assert "outcome: pass" in out
+
+
+@pytest.mark.parametrize("budget", range(1, 9))
+def test_verify_sigma_relation_defers_worked_pair_past_the_budget(capsys, budget):
+    # sigma(13) = 9 exceeds every budget below 9
+    code, out, err = run(capsys, "verify", "sigma-relation", "--bound", "101",
+                         "--budget", str(budget), "--format", "json")
+    assert code == 3
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["outcome"] == "deferred"
+    assert 13 in [x["input"] for x in report["deferred"]]
 
 
 def test_verify_conjecture1_requires_bound(capsys):

@@ -5,43 +5,50 @@ import pytest
 
 from collatz_cover import (SchemaTable, build_schema, build_sigma_schema,
                            render, render_str, sigma_infinity)
-from collatz_cover.mapgen import format_progression, format_sigma_term
+from collatz_cover.mapgen import format_progression
+
+
+def rendered_rows(table):
+    """Rows of the rendered JSON map, by class then exponent."""
+    obj = json.loads(render_str(table, "json"))
+    return [row for i in range(1, 10) for row in obj["classes"][str(i)]]
 
 
 def test_schema_corner_rows():
-    table = build_schema(18)
-    first = table.column(1)[0]
-    assert (first.odd_modulus, first.odd_offset) == (36, 19)
-    assert (first.even_modulus, first.even_offset) == (108, 58)
-    assert (first.next_modulus, first.next_offset) == (54, 29)
-    assert first.starred
-    ninth = table.column(9)[0]
-    assert (ninth.odd_modulus, ninth.odd_offset) == (36, 27)
-    assert (ninth.even_modulus, ninth.even_offset) == (108, 82)
-    assert (ninth.next_modulus, ninth.next_offset) == (54, 41)
+    obj = json.loads(render_str(build_schema(18), "json"))
+    first = obj["classes"]["1"][0]
+    assert first["odd"] == {"modulus": 36, "offset": 19}
+    assert first["even"] == {"modulus": 108, "offset": 58}
+    assert first["next"] == {"modulus": 54, "offset": 29}
+    assert first["starred"]
+    ninth = obj["classes"]["9"][0]
+    assert ninth["odd"] == {"modulus": 36, "offset": 27}
+    assert ninth["even"] == {"modulus": 108, "offset": 82}
+    assert ninth["next"] == {"modulus": 54, "offset": 41}
 
 
 def test_schema_row_structure():
-    table = build_schema(18)
-    assert len(table.rows) == 162
-    for row in table.rows:
-        assert row.even_offset == 3 * row.odd_offset + 1
-        assert row.even_modulus == 3 * row.odd_modulus
-        assert row.odd_modulus == 36 * 2 ** (row.m - 1)
-        assert row.even_modulus == 108 * 2 ** (row.m - 1)
-        assert row.next_modulus == 54
-        assert row.starred == (row.m == 1)
+    rows = rendered_rows(build_schema(18))
+    assert len(rows) == 162
+    for row in rows:
+        odd, even, nxt = row["odd"], row["even"], row["next"]
+        assert even["offset"] == 3 * odd["offset"] + 1
+        assert even["modulus"] == 3 * odd["modulus"]
+        assert odd["modulus"] == 36 * 2 ** (row["m"] - 1)
+        assert even["modulus"] == 108 * 2 ** (row["m"] - 1)
+        assert nxt["modulus"] == 54
+        assert row["starred"] == (row["m"] == 1)
 
 
 def test_schema_matches_reference(reference_tables):
-    table = build_schema(18)
+    obj = json.loads(render_str(build_schema(18), "json"))
     columns = reference_tables["schema_columns"]
     for i in range(1, 10):
         expected = columns[str(i)]
-        got = table.column(i)
-        assert [[r.odd_modulus, r.odd_offset] for r in got] == expected["odd"]
-        assert [[r.even_modulus, r.even_offset] for r in got] == expected["even"]
-        assert [[r.next_modulus, r.next_offset] for r in got] == expected["next"]
+        got = obj["classes"][str(i)]
+        for section in ("odd", "even", "next"):
+            assert [[r[section]["modulus"], r[section]["offset"]]
+                    for r in got] == expected[section]
     assert reference_tables["schema_star_row"] == 1
 
 
@@ -54,48 +61,46 @@ def test_first_column_next_sequence():
 def test_sigma_schema_cells():
     table = build_sigma_schema(18)
     first = table.column(1)[0]
-    assert format_sigma_term(first.base_residue, first.odd_increment) == \
-        "σ∞(54n+29)+2"
+    assert table.cells(first)[0] == "σ∞(54n+29)+2"
     row25 = table.column(2)[4]
-    assert format_sigma_term(row25.base_residue, row25.odd_increment) == \
-        "σ∞(54n+41)+6"
-    assert format_sigma_term(first.base_residue, first.next_increment) == \
-        "σ∞(54n+29)"
+    assert table.cells(row25)[0] == "σ∞(54n+41)+6"
+    assert table.cells(first)[2] == "σ∞(54n+29)"
 
 
 def test_sigma_schema_increments():
-    table = build_sigma_schema(18)
-    for row in table.rows:
-        assert row.odd_increment == row.m + 1
-        assert row.even_increment == row.m
-        assert row.next_increment == 0
-        assert row.odd_increment - row.even_increment == 1
+    for row in rendered_rows(build_sigma_schema(18)):
+        increments = row["increments"]
+        assert increments["odd"] == row["m"] + 1
+        assert increments["even"] == row["m"]
+        assert increments["next"] == 0
+        assert increments["odd"] - increments["even"] == 1
 
 
 def test_sigma_schema_matches_reference(reference_tables):
-    table = build_sigma_schema(18)
+    obj = json.loads(render_str(build_sigma_schema(18), "json"))
     columns = reference_tables["sigma_columns"]
     for i in range(1, 10):
         expected = columns[str(i)]
-        got = table.column(i)
-        assert [[r.base_residue, r.odd_increment] for r in got] == expected["odd"]
-        assert [[r.base_residue, r.even_increment] for r in got] == expected["even"]
-        assert [[r.base_residue, r.next_increment] for r in got] == expected["next"]
+        got = obj["classes"][str(i)]
+        for section in ("odd", "even", "next"):
+            assert [[r["base_residue"], r["increments"][section]]
+                    for r in got] == expected[section]
 
 
 def test_sigma_schema_base_residues_come_from_schema():
-    schema = build_schema(18)
-    sigma = build_sigma_schema(18)
-    for a, b in zip(schema.rows, sigma.rows):
-        assert (a.class_index, a.m) == (b.class_index, b.m)
-        assert a.next_offset == b.base_residue
+    schema = rendered_rows(build_schema(18))
+    sigma = rendered_rows(build_sigma_schema(18))
+    assert len(schema) == len(sigma) == 162
+    for a, b in zip(schema, sigma):
+        assert (a["i"], a["m"]) == (b["i"], b["m"])
+        assert a["next"]["offset"] == b["base_residue"]
 
 
 def test_numeric_consistency_links_both_maps(shared_cache):
     table = build_schema(18)
     for row in table.rows:
         for n in range(3):
-            member = row.odd_modulus * n + row.odd_offset
+            member = row.d_modulus * n + row.d_offset
             if member == 1:
                 continue  # sigma(1) = 0 by termination; recurrence needs d > 1
             landing = row.next_modulus * n + row.next_offset
@@ -105,7 +110,7 @@ def test_numeric_consistency_links_both_maps(shared_cache):
 
 def test_numeric_consistency_fixed_point_exception(shared_cache):
     # the n=0 member of 72n+1 is the terminal value itself
-    row = next(r for r in build_schema(2).rows if r.odd_offset == 1)
+    row = next(r for r in build_schema(2).rows if r.d_offset == 1)
     assert (row.class_index, row.m) == (1, 2)
     assert sigma_infinity(1, shared_cache) == 0
 

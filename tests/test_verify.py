@@ -83,7 +83,7 @@ def test_sigma_relation_defers_on_budget():
 
 
 @pytest.mark.parametrize("warm", [False, True])
-@pytest.mark.parametrize("budget", [9, 20, 50, 110, 111, 150])
+@pytest.mark.parametrize("budget", [9, 20, 50, 110, 111, 150, 1, 5, 8])
 def test_sigma_relation_defers_exactly_past_the_budget(budget, warm):
     cache = SigmaCache() if warm else None
     if warm:  # every stopping time known before the budgeted run
@@ -91,6 +91,19 @@ def test_sigma_relation_defers_exactly_past_the_budget(budget, warm):
     report = verify_sigma_relation(2001, cache, budget=budget)
     assert not report.counterexamples
     assert [x.input for x in report.deferred] == _oracle_deferred(3, 2001, budget)
+    assert all(x.reason == _budget_reason(x.input, budget) for x in report.deferred)
+
+
+@pytest.mark.parametrize("bound, budget, worked", [
+    (3, 5, [13]), (11, 8, [13]), (3, 4, [13, 5]), (11, 4, [13])])
+def test_sigma_relation_defers_worked_values_past_the_budget(bound, budget, worked):
+    # sigma(13) = 9 and sigma(5) = 5 are checked even when the range ends
+    # below them; past the budget they are deferred, not raised, and a value
+    # the range already deferred is not listed twice
+    report = verify_sigma_relation(bound, budget=budget)
+    assert not report.counterexamples
+    assert [x.input for x in report.deferred] == \
+        _oracle_deferred(3, bound, budget) + worked
     assert all(x.reason == _budget_reason(x.input, budget) for x in report.deferred)
 
 
@@ -151,12 +164,6 @@ def test_range_deterministic_across_workers():
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_range_deterministic_across_partition_sizes():
-    a = verify_range(1, 5001, partition_size=100)
-    b = verify_range(1, 5001, partition_size=1 << 16)
-    assert report_to_json(a) == report_to_json(b)
-
-
 def test_range_warm_cache_changes_nothing():
     cache = SigmaCache()
     cold = verify_range(1, 5001, cache=cache)
@@ -180,8 +187,6 @@ def test_range_rejects_bad_arguments():
         verify_range(1, 10, threads=0)
     with pytest.raises(ValueError):
         verify_range(1, 10, class_filter=10)
-    with pytest.raises(ValueError):
-        verify_range(1, 10, partition_size=0)
 
 
 def test_range_parameters_exclude_worker_count():
