@@ -1,4 +1,6 @@
-"""Pinned stdout and exit codes of the listing commands in every format.
+"""Pinned stdout and exit codes of the listing and verify commands in every
+format (verify reports have no csv form: their csv fixture pins the empty
+stdout of the usage error).
 
 Each fixture under ``data/golden/`` holds the exact stdout of one command,
 encoded as UTF-8, and ``exit_codes.json`` holds its exit code. A change to
@@ -27,6 +29,16 @@ CASES = {
     "sigma": ["sigma", "13", "5", "1", "27", "40", BIG_30],
     "sigma-deferred": ["sigma", "27", "13", "--budget", "50"],
     "classify": ["classify", "1", "5", "27", BIG_33],
+    "verify-range": ["verify", "range", "--end", "20001"],
+    "verify-range-class9": ["verify", "range", "--start", "1001", "--end", "20001",
+                            "--class", "9"],
+    # walks from this window fall below its start, where the memo resolves them
+    "verify-range-below-start": ["verify", "range", "--start", "1000000000001",
+                                 "--end", "1000000002001"],
+    "verify-range-deferred": ["verify", "range", "--end", "3001", "--budget", "40"],
+    "verify-sigma-relation": ["verify", "sigma-relation", "--bound", "20001"],
+    "verify-sigma-relation-deferred": ["verify", "sigma-relation", "--bound", "101",
+                                       "--budget", "5"],
 }
 
 FORMATS = ("text", "csv", "json")
