@@ -3,10 +3,10 @@
 The 162-row determinism claim is checked symbolically, as exact integer
 coefficient identities in n, not by sampling; the boundedness and
 stopping-time recurrence claims are audited over explicit ranges. The range
-sweep and the recurrence audit keep the stopping times they find in a dense
-table of 4 bytes per odd value of their range, and run in one thread, so
-their reports do not depend on the requested worker count or the warmth of
-a cache.
+sweep, which the recurrence audit runs through, keeps the stopping times it
+finds in a dense table of 4 bytes per odd value of its range and runs in one
+thread, so its reports do not depend on the requested worker count or the
+warmth of a cache.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from time import perf_counter
 
 from .arith import (BudgetExceededError, DEFAULT_BUDGET, sigma_infinity,
                     two_adic_valuation)
-from .cache import SigmaCache
+from .cache import DEFAULT_MAX_KEY, SigmaCache
 from .covering import (_CLASS_OF, RESIDUE_ORDER, cyclic_recurrence_check,
                        derive_profile, residue_class)
 from .reports import Counterexample, Deferred, VerifyReport, build_report
@@ -26,70 +26,20 @@ from .reports import Counterexample, Deferred, VerifyReport, build_report
 _TABLE_MAX = (1 << 32) - 1
 
 
-def _dense_sigma(first: int, end: int, budget: int, memo: SigmaCache):
-    """Stopping-time lookups backed by a dense table over the odd values of
-    [first, end], for odd first >= 1.
-
-    Returns ``(sigma, table)``. ``sigma(x)`` is the total stopping time of
-    odd x >= 1 and raises ``BudgetExceededError(x, budget)`` when that
-    exceeds ``budget``. ``table[(y - first) >> 1]`` holds sigma(y) for each
-    odd y in [first, end] resolved so far, 0 while unknown (sigma(1) = 0 is
-    never stored: 1 ends every walk). A lookup walks odd-to-odd until it
-    reaches 1, a known entry, or a value below ``first``, which
-    ``sigma_infinity`` resolves through ``memo``; it then stores every value
-    on the walk that lies inside [first, end]. Values above ``end`` are never
-    stored, so the table's 4 bytes per odd value bound the memory. The table
-    starts from the entries ``memo`` already holds for [first, end], such as
-    a loaded cache's, except values too large for its 32-bit cells.
-    """
+def _seeded_table(first: int, end: int, cache: SigmaCache | None) -> array:
+    """A dense stopping-time table over the odd values of [first, end], for
+    odd first >= 1: ``table[(y - first) >> 1]`` holds sigma(y), 0 while
+    unknown (sigma(1) = 0 is never stored: 1 ends every walk). It starts from
+    the entries a given cache already holds for the range, such as a loaded
+    file's, except values too large for its 32-bit cells."""
     table = array("I", [0]) * ((end - first) // 2 + 1)
-    memo_get = memo.get
-    if len(memo):
+    if cache is not None and len(cache):
+        cache_get = cache.get
         for k in range(len(table)):
-            known = memo_get(first + 2 * k)
+            known = cache_get(first + 2 * k)
             if known is not None and known <= _TABLE_MAX:
                 table[k] = known
-
-    def sigma(start: int) -> int:
-        if first <= start <= end:
-            known = table[(start - first) >> 1]
-            if known:
-                if known > budget:
-                    raise BudgetExceededError(start, budget)
-                return known
-        x = start
-        steps = 0
-        path = []  # (index, unit steps consumed before it) per stored value
-        while x != 1:
-            if x < first:
-                tail = memo_get(x)
-                if tail is None:
-                    try:
-                        tail = sigma_infinity(x, memo, budget)
-                    except BudgetExceededError:
-                        raise BudgetExceededError(start, budget) from None
-                steps += tail
-                break
-            if x <= end:
-                index = (x - first) >> 1
-                known = table[index]
-                if known:
-                    steps += known
-                    break
-                path.append((index, steps))
-            x = 3 * x + 1
-            m = (x & -x).bit_length() - 1
-            x >>= m
-            steps += m + 1
-            if steps > budget:
-                raise BudgetExceededError(start, budget)
-        if steps > budget:  # resolved through a stored value, but past the ceiling
-            raise BudgetExceededError(start, budget)
-        for index, consumed in path:
-            table[index] = steps - consumed
-        return steps
-
-    return sigma, table
+    return table
 
 
 def _share_table(table: array, first: int, cache: SigmaCache | None) -> None:
@@ -174,48 +124,35 @@ def verify_sigma_relation(bound: int, cache: SigmaCache | None = None,
     """Check sigma(d) == sigma((3d+1)/2^m) + m + 1 for all odd 1 < d <= bound,
     plus the fixed worked pair sigma(13) = 9, sigma(5) = 5.
 
-    Stopping times come from a dense table over [3, bound], as in
-    ``verify_range``; a given cache receives the table's entries. A worked
-    value whose stopping time exceeds ``budget`` is deferred, once, like any
-    other input."""
+    The recurrence comparison is the one ``verify_range(3, bound)`` makes,
+    with its table, its deferrals and its cache handling; the sweep's
+    reconstruction and boundedness checks run too and report here. Like the
+    sweep's, this comparison checks the consistency of one table, not two
+    independent computations. The worked pair is walked apart, with no
+    memo; a worked value past ``budget`` is deferred, once, like any other
+    input."""
     t0 = perf_counter()
     if bound < 3:
         raise ValueError(f"bound must be >= 3, got {bound}")
-    sigma, table = _dense_sigma(3, bound, budget,
-                                SigmaCache() if cache is None else cache)
-    counterexamples = []
-    deferred = []
-    items = 0
-    for d in range(3, bound + 1, 2):
-        items += 1
-        m, target = two_adic_valuation(3 * d + 1)
-        try:
-            sigma_d = sigma(d)
-            sigma_t = sigma(target)
-        except BudgetExceededError as exc:
-            deferred.append(Deferred(d, str(exc)))
-            continue
-        if sigma_d != sigma_t + m + 1:
-            counterexamples.append(Counterexample(
-                d, f"sigma {sigma_t + m + 1} (= sigma({target}) + {m + 1})",
-                str(sigma_d)))
+    sweep = verify_range(3, bound, budget=budget, cache=cache)
+    counterexamples = list(sweep.counterexamples)
+    deferred = list(sweep.deferred)
     for value, expected in ((13, 9), (5, 5)):
         try:
-            actual = sigma(value)
+            actual = sigma_infinity(value, budget=budget)
         except BudgetExceededError as exc:
-            if value > bound:  # within the range, the loop deferred it already
+            if value > bound:  # within the range, the sweep deferred it already
                 deferred.append(Deferred(value, str(exc)))
             continue
         if actual != expected:
             counterexamples.append(Counterexample(
                 value, f"sigma {expected}", str(actual)))
-    _share_table(table, 3, cache)
     return build_report(
         "sigma-relation",
         {"bound": bound, "budget": budget},
         counterexamples=counterexamples,
         deferred=deferred,
-        items_checked=items,
+        items_checked=sweep.items_checked,
         elapsed_s=perf_counter() - t0,
         details={"worked_pair": "sigma(13)=9, sigma(5)=5"},
     )
@@ -256,16 +193,26 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     """Run reconstruction, boundedness, and the stopping-time recurrence over
     every odd integer in [start, end] (optionally one class only).
 
-    The odd integers are checked in ascending order in one loop. Their
-    stopping times go into a dense table over [start, end] (see
-    ``_dense_sigma``), so a walk usually stops at the first value below d it
-    meets, and the table holds 4 bytes per odd integer in the range. Values
-    below ``start`` resolve through ``cache``, or through a fresh memo
-    without one; a given cache also receives the table's entries after the
-    sweep. An odd integer is deferred when its stopping time or its
-    successor's exceeds ``budget``. ``threads`` is validated (at least 1)
-    but has no effect, and no argument but the range, the class and the
-    budget changes the report.
+    The odd integers are checked in ascending order in one loop, which keeps
+    their stopping times in a dense table over [start, end] (see
+    ``_seeded_table``), 4 bytes per odd integer. For each d the loop reads
+    sigma(target) from the table, and only when it is unknown walks
+    odd-to-odd from target until it reaches 1, a known entry, or a value
+    below ``start``, storing the walk's values that lie in the range. Every
+    row with m >= 2 lands below d, so in a full sweep its target is a single
+    table read. Values below ``start`` resolve through ``cache``, or without
+    one through a fresh memo that admits only those values, and only below
+    the cache's default admission bound; a given cache also receives the
+    table's entries after the sweep.
+
+    sigma(d) is its table entry, or sigma(target) + m + 1 when it has none.
+    The recurrence comparison therefore only bites on entries that an
+    earlier walk or the cache stored: it checks that one table is
+    consistent, and is not an independent audit of the stopping times.
+
+    An odd integer is deferred when its stopping time exceeds ``budget``.
+    ``threads`` is validated (at least 1) but has no effect, and no argument
+    but the range, the class and the budget changes the report.
     """
     t0 = perf_counter()
     if not 1 <= start <= end:
@@ -285,8 +232,15 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
         if lo > end:
             raise ValueError(
                 f"no odd integers of class {class_filter} in [{start}, {end}]")
-    sigma, table = _dense_sigma(first, end, budget,
-                                SigmaCache() if cache is None else cache)
+    table = _seeded_table(first, end, cache)
+    # a memo of our own keeps only the values below the range: the table
+    # holds those inside it, and those above it cost memory for few hits.
+    # The default admission bound still applies: far above it, a memo of
+    # every value below the start met grows with the range (about 1e6
+    # entries for 1e5 odd integers at 1e12).
+    memo = (SigmaCache(max_key=min(first, DEFAULT_MAX_KEY)) if cache is None
+            else cache)
+    memo_get = memo.get
     counterexamples: list[Counterexample] = []
     deferred: list[Deferred] = []
     per_class = [0] * 10
@@ -310,16 +264,48 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
                 d, f"next odd strictly inside (54*{n}, 54*{n + 1})", str(target)))
         if d == 1:  # sigma(1) = 0 by termination; the recurrence needs d > 1
             continue
-        try:
-            sigma_d = sigma(d)
-            sigma_t = sigma(target)
-        except BudgetExceededError as exc:
-            deferred.append(Deferred(d, str(exc)))
-            continue
-        if sigma_d != sigma_t + m + 1:
+        index = (d - first) >> 1
+        sigma_d = table[index]
+        # steps becomes sigma(target) + m + 1: one table read, or a walk from
+        # target; steps counts the unit steps from d to x
+        steps = m + 1
+        x = target
+        known = table[(x - first) >> 1] if first <= x <= end else 0
+        if known:
+            steps += known
+        elif x != 1:
+            path = []  # (index, unit steps from d) per value to store
+            while x != 1 and steps <= budget:
+                if x < first:
+                    tail = memo_get(x)
+                    if tail is None:
+                        try:
+                            tail = sigma_infinity(x, memo, budget)
+                        except BudgetExceededError:
+                            tail = budget  # sigma(x) alone is past the budget
+                    steps += tail
+                    break
+                if x <= end:
+                    k = (x - first) >> 1
+                    known = table[k]
+                    if known:
+                        steps += known
+                        break
+                    path.append((k, steps))
+                x = 3 * x + 1
+                s = (x & -x).bit_length() - 1
+                x >>= s
+                steps += s + 1
+            if steps <= budget:
+                for k, consumed in path:
+                    table[k] = steps - consumed
+        if steps > budget:
+            deferred.append(Deferred(d, str(BudgetExceededError(d, budget))))
+        elif not sigma_d:
+            table[index] = steps
+        elif sigma_d != steps:
             counterexamples.append(Counterexample(
-                d, f"sigma {sigma_t + m + 1} (= sigma({target}) + {m + 1})",
-                str(sigma_d)))
+                d, f"sigma {steps} (= sigma({target}) + {m + 1})", str(sigma_d)))
     _share_table(table, first, cache)
     return build_report(
         "range-sweep",

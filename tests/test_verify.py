@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+import collatz_cover.verify as verify_module
 from collatz_cover import (SigmaCache, derive_profile, report_to_json,
                            residue_class, verify_conjecture1, verify_cyclic,
                            verify_range, verify_sigma_relation,
@@ -203,14 +204,31 @@ def test_range_passes_every_odd_integer_to_1e5():
     assert not report.deferred
 
 
-@pytest.mark.parametrize("start, end, class_filter", [
-    (5001, 20001, None),
-    (30000, 40000, None),
-    (1, 20001, 9),
-    (7001, 30001, 4),
+def _oracle_case(start, end, class_filter=None, warm=False):
+    return pytest.param(start, end, class_filter, warm,
+                        id=f"{start}-{end}-{class_filter}" + "-warm" * warm)
+
+
+@pytest.mark.parametrize("start, end, class_filter, warm", [
+    _oracle_case(5001, 20001),
+    _oracle_case(30000, 40000),
+    _oracle_case(1, 20001, 9),
+    _oracle_case(7001, 30001, 4),
+    # the first odd step lands on 1, below a start > 1
+    *(_oracle_case(d, d) for d in (5, 21, 85, 341, 1365)),
+    # m = 1 climbs from the top of the range leave it
+    _oracle_case(1, 2**17 - 1),
+    # walks fall below the start
+    *(_oracle_case(start, start + 2000) for start in (27, 703, 2**20 + 1)),
+    # a cache that already holds the lower half of the range seeds the table
+    _oracle_case(5001, 20001, warm=True),
+    _oracle_case(1, 20001, 9, warm=True),
+    *(_oracle_case(2001, 12001, i) for i in range(1, 10)),
 ])
-def test_range_stopping_times_match_oracle(start, end, class_filter):
+def test_range_stopping_times_match_oracle(start, end, class_filter, warm):
     cache = SigmaCache()
+    if warm:
+        verify_range(1, end // 2, cache=cache)
     report = verify_range(start, end, class_filter=class_filter, cache=cache)
     assert report.outcome == "pass"
     memo = {}
@@ -221,10 +239,13 @@ def test_range_stopping_times_match_oracle(start, end, class_filter):
         assert d == 1 or cache.get(d) == unit_step_sigma_memo(d, memo), d
     for key, value in cache.items():  # also the memo below start
         assert value == unit_step_sigma_memo(key, memo), key
+    if class_filter is not None:  # walks keep the other classes' values they pass
+        stored = [key for key, _ in cache.items() if start <= key <= end]
+        assert len(stored) > len(members)
 
 
 @pytest.mark.parametrize("warm", [False, True])
-@pytest.mark.parametrize("start", [1, 1001])
+@pytest.mark.parametrize("start", [1, 1001, 27, 703, 2**20 + 1])
 @pytest.mark.parametrize("budget", [9, 20, 50, 110, 111, 150])
 def test_range_defers_exactly_past_the_budget(start, budget, warm):
     end = start + 2000
@@ -235,6 +256,36 @@ def test_range_defers_exactly_past_the_budget(start, budget, warm):
     assert not report.counterexamples
     assert [x.input for x in report.deferred] == _oracle_deferred(start, end, budget)
     assert all(x.reason == _budget_reason(x.input, budget) for x in report.deferred)
+
+
+@pytest.mark.parametrize("start, end", [(20001, 40001), (2**33 + 1, 2**33 + 2001)])
+def test_range_memo_keeps_only_values_below_the_start(monkeypatch, start, end):
+    # without a cache, values in the range live in the table and values
+    # above it are rarely met again, so the sweep's own memo holds neither;
+    # it keeps the default admission bound, 2^32, too
+    memos = []
+
+    class RecordingCache(SigmaCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            memos.append(self)
+
+    monkeypatch.setattr(verify_module, "SigmaCache", RecordingCache)
+    assert verify_range(start, end).outcome == "pass"
+    (memo,) = memos
+    keys = [key for key, _ in memo.items()]
+    assert keys and max(keys) < min(start, 2**32)
+
+
+def test_range_flags_a_cache_entry_the_table_contradicts():
+    # the recurrence comparison bites on stored entries: sigma(27) = 111, and
+    # no walk reaches 27, since 27 * 2^m - 1 is never a multiple of 3
+    cache = SigmaCache()
+    cache.put(27, 112)
+    report = verify_range(1, 101, cache=cache)
+    assert report.outcome == "fail"
+    assert report.counterexamples == (
+        (27, "sigma 111 (= sigma(41) + 2)", "112"),)
 
 
 def test_range_skips_cache_values_too_large_for_the_table():
