@@ -16,11 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cache import SigmaCache
-
 #: Unit-step ceiling per input; a hypothetical divergent orbit surfaces as an
 #: error instead of a hang.
 DEFAULT_BUDGET = 10**7
+
+#: Keys at or above this bound are not admitted (write policy, not an error).
+#: It drops the large values that walks climb through, not the entry count:
+#: memory still grows by one dict entry per admitted key, about 86 bytes.
+DEFAULT_MAX_KEY = 1 << 32
 
 
 class BudgetExceededError(RuntimeError):
@@ -76,6 +79,45 @@ def four_d_plus_one(d: int) -> int:
     """
     _require_odd(d)
     return 4 * d + 1
+
+
+class SigmaCache:
+    """In-memory memo from odd integer to its total stopping time.
+    ``sigma_infinity`` and ``trace`` fill it, and the range sweep resolves
+    the values below its start through it. Nothing writes it to disk.
+
+    Writes are last-write-wins; every writer for a key stores the same value,
+    since the stopping time is a function of the key.
+    """
+
+    def __init__(self, max_key: int = DEFAULT_MAX_KEY):
+        if max_key < 1:
+            raise ValueError(f"max_key must be positive, got {max_key}")
+        self.max_key = max_key
+        self._entries: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._entries
+
+    def get(self, key: int) -> int | None:
+        return self._entries.get(key)
+
+    def put(self, key: int, value: int) -> None:
+        """Store one stopping time. Keys outside the admission bound are
+        silently skipped; non-odd keys and negative values are rejected."""
+        if key < 1 or not key & 1:
+            raise ValueError(f"cache keys must be positive odd integers, got {key}")
+        if value < 0:
+            raise ValueError(f"stopping times are nonnegative, got {value}")
+        if key < self.max_key:
+            self._entries[key] = value
+
+    def items(self):
+        """Entries in ascending key order."""
+        return sorted(self._entries.items())
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 
 from .arith import BudgetExceededError, DEFAULT_BUDGET, sigma_infinity
-from .cache import CacheFormatError, SigmaCache
 from .covering import (ProfileTable, classify, cover_audit, digit_root_class,
                        residue_class)
 from .mapgen import build_schema, build_sigma_schema, format_progression, render_str
@@ -32,7 +31,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEFERRED = 3
 
-_CONFIG_KEYS = ("max_m", "budget", "cache", "format", "threads")
+_CONFIG_KEYS = ("max_m", "budget", "format")
 
 
 class UsageError(Exception):
@@ -43,17 +42,13 @@ class UsageError(Exception):
 class Config:
     max_m: int = 18
     budget: int = DEFAULT_BUDGET
-    cache_path: str | None = None
     output_format: str = "text"
-    threads: int = 1  # accepted and validated; range sweeps run serially
 
     def validate(self) -> None:
         if self.max_m < 1:
             raise UsageError(f"max_m must be >= 1, got {self.max_m}")
         if self.budget < 1:
             raise UsageError(f"budget must be >= 1, got {self.budget}")
-        if self.threads < 1:
-            raise UsageError(f"threads must be >= 1, got {self.threads}")
         if self.output_format not in ("text", "csv", "json"):
             raise UsageError(f"unknown format {self.output_format!r}")
 
@@ -95,20 +90,20 @@ def resolve_config(args: argparse.Namespace) -> Config:
         values = _parse_config_file(path)
         cfg.max_m = _config_int(values, "max_m", cfg.max_m)
         cfg.budget = _config_int(values, "budget", cfg.budget)
-        cfg.threads = _config_int(values, "threads", cfg.threads)
-        cfg.cache_path = values.get("cache", cfg.cache_path)
         cfg.output_format = values.get("format", cfg.output_format)
     if getattr(args, "max_m", None) is not None:
         cfg.max_m = args.max_m
     if getattr(args, "budget", None) is not None:
         cfg.budget = args.budget
-    if getattr(args, "cache", None) is not None:
-        cfg.cache_path = args.cache
     if getattr(args, "format", None) is not None:
         cfg.output_format = args.format
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
     cfg.validate()
+    # --cache and --threads stay accepted while perfbench/ still passes them
+    if getattr(args, "threads", None) is not None and args.threads < 1:
+        raise UsageError(f"threads must be >= 1, got {args.threads}")
+    if getattr(args, "cache", None) is not None:
+        print(f"note: --cache is ignored; {args.cache} is neither read nor written",
+              file=sys.stderr)
     return cfg
 
 
@@ -118,10 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deepest exponent row to derive (default 18)")
     common.add_argument("--budget", type=int,
                         help="unit-step ceiling per stopping-time input")
-    common.add_argument("--cache", help="path of the persistent stopping-time cache")
+    common.add_argument("--cache", metavar="FILE",
+                        help="ignored: no stopping-time cache file is kept")
     common.add_argument("--format", choices=("text", "csv", "json"),
                         help="output format (default text)")
-    common.add_argument("--threads", type=int, help="accepted but unused: sweeps run serially")
+    common.add_argument("--threads", type=int,
+                        help="ignored (must be >= 1): sweeps run serially")
     common.add_argument("--output", metavar="FILE", help="write data here instead of stdout")
     common.add_argument("--config", metavar="FILE",
                         help=f"key=value config file (also via ${CONFIG_ENV})")
@@ -193,16 +190,6 @@ def _parse_values(raw_values, require_odd: bool) -> list[int]:
     return values
 
 
-def _open_cache(cfg: Config) -> SigmaCache | None:
-    """The --cache file's memo (empty while the file does not exist), or
-    None without --cache."""
-    if not cfg.cache_path:
-        return None
-    if os.path.exists(cfg.cache_path):
-        return SigmaCache.load(cfg.cache_path)
-    return SigmaCache()
-
-
 def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
     if args.class_index is not None and not 1 <= args.class_index <= 9:
         raise UsageError(f"class index must be in 1..9, got {args.class_index}")
@@ -230,11 +217,10 @@ def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_sigma(args: argparse.Namespace, cfg: Config) -> int:
     values = _parse_values(args.values, require_odd=False)
-    cache = _open_cache(cfg)
     rows = []
     for d in values:
         try:
-            sigma = sigma_infinity(d, cache, cfg.budget)
+            sigma = sigma_infinity(d, budget=cfg.budget)
         except BudgetExceededError:
             sigma = None
         row = {"d": d, "sigma": sigma, "class": None, "m": None, "next": None}
@@ -247,8 +233,6 @@ def cmd_sigma(args: argparse.Namespace, cfg: Config) -> int:
     code = _emit(render_rows(rows, cfg.output_format, _sigma_text), args.output)
     if code != EXIT_PASS:
         return code
-    if cache is not None:
-        cache.save(cfg.cache_path)
     if any(row["sigma"] is None for row in rows):
         return EXIT_DEFERRED
     return EXIT_PASS
@@ -302,7 +286,6 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     if cfg.output_format == "csv":
         raise UsageError("verify reports support text or json output")
     check = args.check
-    cache = None  # only the stopping-time checks read or write the cache file
     if check == "theorem1":
         report = verify_theorem1_symbolic(cfg.max_m)
     elif check == "conjecture1":
@@ -311,8 +294,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         report = verify_conjecture1(bound, start=start)
     elif check == "sigma-relation":
         bound = _require_flag(args.bound, "--bound", check)
-        cache = _open_cache(cfg)
-        report = verify_sigma_relation(bound, cache, cfg.budget)
+        report = verify_sigma_relation(bound, budget=cfg.budget)
     elif check == "cover":
         bound = _require_flag(args.bound, "--bound", check)
         report = cover_audit(bound, cfg.max_m)
@@ -325,10 +307,8 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         if args.class_index is not None and not 1 <= args.class_index <= 9:
             raise UsageError(f"class index must be in 1..9, got {args.class_index}")
         start = args.start if args.start is not None else 1
-        cache = _open_cache(cfg)
         report = verify_range(start, end, class_filter=args.class_index,
-                              threads=cfg.threads, budget=cfg.budget,
-                              cache=cache)
+                              budget=cfg.budget)
     try:
         report = _validated(report)
     except ValueError as exc:
@@ -339,8 +319,6 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     else:
         text = report_to_text(report)
     code = _emit(text, args.output)
-    if code == EXIT_PASS and cache is not None:
-        cache.save(cfg.cache_path)
     print(f"# {report.check_name}: {report.outcome} "
           f"({report.items_checked} items, {report.elapsed_s:.3f}s)",
           file=sys.stderr)
@@ -393,9 +371,6 @@ def _run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CacheFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except ValueError as exc:  # parameter validation from the library
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,9 +4,9 @@ The 162-row determinism claim is checked symbolically, as exact integer
 coefficient identities in n, not by sampling; the boundedness and
 stopping-time recurrence claims are audited over explicit ranges. The range
 sweep, which the recurrence audit runs through, keeps the stopping times it
-finds in a dense table of 4 bytes per odd value of its range and runs in one
-thread, so its reports do not depend on the requested worker count or the
-warmth of a cache.
+finds in a dense table of 4 bytes per odd value of its range; its report
+depends only on the range, the class and the budget, not on whether a memo
+was passed or how much it already held.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import random
 from array import array
 from time import perf_counter
 
-from .arith import (BudgetExceededError, DEFAULT_BUDGET, sigma_infinity,
-                    two_adic_valuation)
-from .cache import DEFAULT_MAX_KEY, SigmaCache
+from .arith import (BudgetExceededError, DEFAULT_BUDGET, DEFAULT_MAX_KEY,
+                    SigmaCache, sigma_infinity, two_adic_valuation)
 from .covering import (_CLASS_OF, RESIDUE_ORDER, cyclic_recurrence_check,
                        derive_profile, residue_class)
 from .reports import Counterexample, Deferred, VerifyReport, build_report
@@ -30,8 +29,8 @@ def _seeded_table(first: int, end: int, cache: SigmaCache | None) -> array:
     """A dense stopping-time table over the odd values of [first, end], for
     odd first >= 1: ``table[(y - first) >> 1]`` holds sigma(y), 0 while
     unknown (sigma(1) = 0 is never stored: 1 ends every walk). It starts from
-    the entries a given cache already holds for the range, such as a loaded
-    file's, except values too large for its 32-bit cells."""
+    the entries a given cache already holds for the range, such as an
+    earlier sweep's, except values too large for its 32-bit cells."""
     table = array("I", [0]) * ((end - first) // 2 + 1)
     if cache is not None and len(cache):
         cache_get = cache.get
@@ -188,7 +187,7 @@ def verify_cyclic(samples_per_class: int = 100, seed: int = 0) -> VerifyReport:
 
 
 def verify_range(start: int, end: int, class_filter: int | None = None,
-                 threads: int = 1, budget: int = DEFAULT_BUDGET,
+                 budget: int = DEFAULT_BUDGET,
                  cache: SigmaCache | None = None) -> VerifyReport:
     """Run reconstruction, boundedness, and the stopping-time recurrence over
     every odd integer in [start, end] (optionally one class only).
@@ -211,16 +210,14 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     consistent, and is not an independent audit of the stopping times.
 
     An odd integer is deferred when its stopping time exceeds ``budget``.
-    ``threads`` is validated (at least 1) but has no effect, and no argument
-    but the range, the class and the budget changes the report.
+    No argument but the range, the class and the budget changes the report:
+    a cold, a warm and an absent cache give the same bytes.
     """
     t0 = perf_counter()
     if not 1 <= start <= end:
         raise ValueError(f"need 1 <= start <= end, got [{start}, {end}]")
     if class_filter is not None and not 1 <= class_filter <= 9:
         raise ValueError(f"class filter must be in 1..9, got {class_filter}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     first = start if start & 1 else start + 1
     if first > end:
         raise ValueError(f"no odd integers in [{start}, {end}]")

@@ -5,10 +5,10 @@ import json
 from contextlib import contextmanager
 from time import perf_counter
 
-from collatz_cover import (ProfileTable, build_schema, build_sigma_schema,
-                           cover_audit, digit_root_class, render_str,
-                           report_to_json, residue_class, sigma_infinity,
-                           verify_conjecture1, verify_range,
+from collatz_cover import (ProfileTable, SigmaCache, build_schema,
+                           build_sigma_schema, cover_audit, digit_root_class,
+                           render_str, report_to_json, residue_class,
+                           sigma_infinity, verify_conjecture1, verify_range,
                            verify_theorem1_symbolic)
 from collatz_cover.cli import main
 from oracles import unit_step_sigma_memo, valuation_by_division
@@ -159,10 +159,12 @@ def test_criterion_09_digit_root_agreement():
         assert perf_counter() - start < 5.0
 
 
-def test_criterion_10_range_sweep_determinism(shared_cache):
-    with criterion(10, "range sweep byte-identical at 1, 4, 8 workers"):
-        reports = [verify_range(1, BOUND_LARGE, threads=workers, cache=shared_cache)
-                   for workers in (1, 4, 8)]
+def test_criterion_10_range_sweep_determinism():
+    with criterion(10, "range sweep byte-identical with no, cold and warm memo"):
+        memo = SigmaCache()
+        reports = [verify_range(1, BOUND_LARGE),
+                   verify_range(1, BOUND_LARGE, cache=memo),  # cold
+                   verify_range(1, BOUND_LARGE, cache=memo)]  # warm
         blobs = [report_to_json(r) for r in reports]
         assert blobs[0] == blobs[1] == blobs[2]
         assert reports[0].outcome == "pass"

@@ -7,9 +7,7 @@ from pathlib import Path
 import pytest
 
 import collatz_cover
-from collatz_cover import SigmaCache
 from collatz_cover.cli import main
-from oracles import unit_step_sigma_memo
 
 
 def run(capsys, *argv):
@@ -90,16 +88,6 @@ def test_sigma_budget_deferral(capsys):
     code, out, _ = run(capsys, "sigma", "27", "--budget", "50")
     assert code == 3
     assert "deferred" in out
-
-
-def test_sigma_builds_no_cache_without_the_flag(capsys, monkeypatch):
-    def no_cache(*_args, **_kwargs):
-        raise AssertionError("a SigmaCache was built without --cache")
-
-    monkeypatch.setattr("collatz_cover.cli.SigmaCache", no_cache)
-    code, out, _ = run(capsys, "sigma", "27", "40")
-    assert code == 0
-    assert out.splitlines()[0] == "d=27 sigma=111 class=9 m=1 next=41"
 
 
 def test_sigma_arbitrary_precision(capsys):
@@ -240,11 +228,12 @@ def test_config_explicit_flag(capsys, tmp_path):
 
 def test_config_rejects_unknown_key(capsys, tmp_path, monkeypatch):
     config = tmp_path / "cover.conf"
-    config.write_text("depth = 3\n")
     monkeypatch.setenv("COLLATZ_COVER_CONFIG", str(config))
-    code, _, err = run(capsys, "table")
-    assert code == 2
-    assert "unknown config key" in err
+    for line in ("depth = 3", "cache = f", "threads = 2"):
+        config.write_text(line + "\n")
+        code, _, err = run(capsys, "table")
+        assert code == 2, line
+        assert "unknown config key" in err
 
 
 def test_config_rejects_malformed_line(capsys, tmp_path):
@@ -284,43 +273,22 @@ def test_stdout_reproducible(capsys):
     assert first == second
 
 
-def test_cache_file_roundtrip(capsys, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("verify", "range", "--end", "20001", "--format", "json"),
+    ("verify", "sigma-relation", "--bound", "20001"),
+    ("sigma", "27", "13"),
+])
+def test_cache_and_threads_flags_are_inert(capsys, tmp_path, argv):
     path = tmp_path / "sigma.csig"
-    code, _, _ = run(capsys, "sigma", "27", "--cache", str(path))
+    code, plain, err = run(capsys, *argv)
+    assert "note:" not in err
+    code_flags, out, err = run(capsys, *argv, "--cache", str(path),
+                               "--threads", "1")
+    assert (code_flags, out) == (code, plain)
     assert code == 0
-    assert path.exists()
-    code, out, _ = run(capsys, "sigma", "27", "--cache", str(path))
-    assert code == 0
-    assert "sigma=111" in out
-
-
-def test_cache_file_corruption_fails(capsys, tmp_path):
-    path = tmp_path / "sigma.csig"
-    run(capsys, "sigma", "13", "--cache", str(path))
-    blob = bytearray(path.read_bytes())
-    blob[-1] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    code, _, err = run(capsys, "sigma", "13", "--cache", str(path))
-    assert code == 1
-    assert "checksum" in err
-
-
-def test_verify_range_cache_holds_true_stopping_times(capsys, tmp_path):
-    path = tmp_path / "sigma.csig"
-    argv = ("verify", "range", "--end", "20001")
-    code, plain, _ = run(capsys, *argv)
-    assert code == 0
-    for _ in range(2):  # cold, then warm
-        code, out, _ = run(capsys, *argv, "--cache", str(path))
-        assert code == 0
-        assert out == plain
-    entries = SigmaCache.load(path).items()
-    assert [key for key, _ in entries] == list(range(3, 20002, 2))
-    memo = {}
-    assert all(value == unit_step_sigma_memo(key, memo) for key, value in entries)
-    code, out, _ = run(capsys, "sigma", "27", "--cache", str(path))
-    assert code == 0
-    assert "sigma=111" in out
+    assert not path.exists()
+    assert [line for line in err.splitlines() if line.startswith("note:")] == [
+        f"note: --cache is ignored; {path} is neither read nor written"]
 
 
 def test_verify_ignores_cache_for_checks_without_walks(capsys, tmp_path):
@@ -364,17 +332,27 @@ def test_main_restores_int_digit_limit(capsys):
     assert out.startswith(f"d={digits} sigma=")
 
 
-def test_cli_import_pulls_in_no_numpy_or_thread_pool():
+def _modules_after_cli_import(names, *flags) -> str:
+    """The subset of ``names`` in sys.modules after a fresh interpreter,
+    started with ``flags``, imports the CLI."""
     src = str(Path(collatz_cover.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
     probe = ("import sys, collatz_cover.cli; "
-             "print(sorted(m for m in ('numpy', 'concurrent.futures') "
-             "if m in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+             f"print(sorted(m for m in {names!r} if m in sys.modules))")
+    result = subprocess.run([sys.executable, *flags, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_pulls_in_no_numpy_or_thread_pool():
+    assert _modules_after_cli_import(("numpy", "concurrent.futures")) == "[]"
+
+
+def test_cli_import_pulls_in_no_file_format_modules():
+    # -S: a site hook may import tempfile on its own
+    assert _modules_after_cli_import(("tempfile", "struct"), "-S") == "[]"
 
 
 def test_help_exits_zero(capsys):
@@ -392,6 +370,7 @@ def test_help_exits_zero(capsys):
     ("verify", "cover", "--bound", "2"),
     ("verify", "range", "--start", "2", "--end", "2"),
     ("verify", "range", "--start", "3", "--end", "7", "--class", "9"),
+    ("verify", "range", "--end", "9", "--threads", "0"),
 ])
 def test_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)
