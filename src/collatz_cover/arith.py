@@ -13,7 +13,6 @@ with sigma(1) = 0 (counting unit steps: each 3n+1 or n/2 costs one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 #: Unit-step ceiling per input; a hypothetical divergent orbit surfaces as an
@@ -120,8 +119,7 @@ class SigmaCache:
         return sorted(self._entries.items())
 
 
-@dataclass(frozen=True)
-class CollatzTrace:
+class CollatzTrace(NamedTuple):
     """Odd-to-odd trajectory down to 1: consecutive steps chain source to
     target, and sigma is the sum of (m + 1) over the steps."""
 

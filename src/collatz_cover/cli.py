@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .arith import BudgetExceededError, DEFAULT_BUDGET, sigma_infinity
 from .covering import (ProfileTable, classify, cover_audit, digit_root_class,
@@ -38,11 +37,15 @@ class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
 
 
-@dataclass
 class Config:
-    max_m: int = 18
-    budget: int = DEFAULT_BUDGET
-    output_format: str = "text"
+    """Resolved settings: the built-in defaults until a config file or a
+    flag overrides them."""
+
+    def __init__(self, max_m: int = 18, budget: int = DEFAULT_BUDGET,
+                 output_format: str = "text"):
+        self.max_m = max_m
+        self.budget = budget
+        self.output_format = output_format
 
     def validate(self) -> None:
         if self.max_m < 1:

@@ -15,9 +15,9 @@ derives each one by the Chinese Remainder Theorem, for any m.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
+from typing import NamedTuple
 
 from .arith import _require_odd, two_adic_valuation
 from .reports import (Counterexample, Deferred, VerifyReport, build_report,
@@ -39,8 +39,7 @@ def residue_class(d: int) -> int:
     return _CLASS_OF[d % 18]
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """One (class, valuation) progression triple.
 
     Members are d_modulus*n + d_offset; tripling-plus-one lands them on
@@ -128,8 +127,7 @@ def classify(d: int) -> tuple[Profile, int]:
     return profile, n
 
 
-@dataclass(frozen=True)
-class ProfileTable:
+class ProfileTable(NamedTuple):
     """All 9*max_m progressions, ordered by class then exponent. Immutable."""
 
     max_m: int
@@ -174,13 +172,26 @@ def cyclic_recurrence_check(i: int, d: int) -> bool:
     return (4 * d + 1) % 18 == successor
 
 
+#: Digits are summed 18 at a time, so no str() of a whole integer runs into
+#: the interpreter's limit on int-to-str conversion (4300 digits by default).
+_DIGIT_CHUNK = 10**18
+
+
+def _digit_sum(x: int) -> int:
+    total = 0
+    while x:
+        x, chunk = divmod(x, _DIGIT_CHUNK)
+        total += sum(map(int, str(chunk)))
+    return total
+
+
 def digital_root(x: int) -> int:
     """Iterated decimal digit sum of x >= 1 (computed by actually summing
-    digits, not by reduction mod 9)."""
+    digits, not by reduction mod 9), for integers of any length."""
     if x < 1:
         raise ValueError(f"need a positive integer, got {x}")
     while x > 9:
-        x = sum(int(c) for c in str(x))
+        x = _digit_sum(x)
     return x
 
 

@@ -15,8 +15,6 @@ how a row renders. All builders are pure; renderers write deterministic bytes.
 
 from __future__ import annotations
 
-import json
-
 from .covering import Profile, ProfileTable
 from .reports import FORMATS, aligned, rows_to_csv
 
@@ -25,6 +23,7 @@ class SchemaTable(ProfileTable):
     """The generalized map; the m = 1 rows are starred, as they open their
     section."""
 
+    __slots__ = ()
     kind = "collatz-map"
 
     def cells(self, p: Profile) -> tuple[str, str, str]:
@@ -52,6 +51,7 @@ class SigmaSchemaTable(ProfileTable):
     """The stopping-time map: row (i, m) adds the increments m+1, m and 0 to
     sigma(54n + a), with base residue a = next_offset."""
 
+    __slots__ = ()
     kind = "stopping-time-map"
 
     @staticmethod
@@ -106,6 +106,7 @@ def render_str(table, fmt: str) -> str:
     if fmt == "csv":
         return rows_to_csv([table.csv_row(p) for p in table.rows])
     if fmt == "json":
+        import json  # imported on use, as in reports
         classes = {str(i): [table.json_row(p) for p in table.column(i)]
                    for i in range(1, 10)}
         return json.dumps({"kind": table.kind, "max_m": table.max_m,

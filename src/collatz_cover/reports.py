@@ -7,16 +7,14 @@ exhaustion) land in ``deferred`` and, absent failures, make the outcome
 "deferred" rather than "fail".
 
 Serialized JSON omits timing by default so identical runs produce identical
-bytes; pass ``include_elapsed=True`` to embed ``elapsed_ms``.
+bytes; pass ``include_elapsed=True`` to embed ``elapsed_ms``. ``json`` and
+``csv`` are imported by the functions that use them: most commands render
+neither, and start-up is most of the cost of a short command.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 OUTCOME_PASS = "pass"
@@ -37,8 +35,7 @@ class Deferred(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     check_name: str
     parameters: dict[str, Any]
     outcome: str
@@ -46,7 +43,7 @@ class VerifyReport:
     deferred: tuple[Deferred, ...]
     items_checked: int
     elapsed_s: float
-    details: dict[str, Any] = field(default_factory=dict)
+    details: dict[str, Any]
 
 
 def build_report(check_name: str, parameters: dict[str, Any], *,
@@ -81,6 +78,7 @@ def report_to_json(report: VerifyReport, include_elapsed: bool = False) -> str:
     }
     if include_elapsed:
         obj["elapsed_ms"] = report.elapsed_s * 1000.0
+    import json
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -109,6 +107,8 @@ def report_to_text(report: VerifyReport, max_listed: int = 10) -> str:
 
 def rows_to_csv(rows: list[dict]) -> str:
     """CSV under a header of the first row's keys; None becomes an empty cell."""
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
     writer.writeheader()
@@ -117,6 +117,7 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def rows_to_json(rows: list[dict]) -> str:
+    import json
     return json.dumps(rows, indent=2) + "\n"
 
 

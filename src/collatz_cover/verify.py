@@ -11,7 +11,6 @@ was passed or how much it already held.
 
 from __future__ import annotations
 
-import random
 from array import array
 from time import perf_counter
 
@@ -163,6 +162,7 @@ def verify_cyclic(samples_per_class: int = 100, seed: int = 0) -> VerifyReport:
     t0 = perf_counter()
     if samples_per_class < 1:
         raise ValueError(f"samples_per_class must be >= 1, got {samples_per_class}")
+    import random  # imported on use: no other command samples
     rng = random.Random(seed)
     counterexamples = []
     classes_passing = 0
@@ -241,19 +241,27 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     counterexamples: list[Counterexample] = []
     deferred: list[Deferred] = []
     per_class = [0] * 10
+    # (class, d_offset, d_modulus) per key m * 18 + d % 18, fetched once per
+    # progression row rather than per d
+    rows: dict[int, tuple[int, int, int]] = {}
     items = 0
     for d in range(lo, end + 1, step):
         items += 1
-        i = _CLASS_OF[d % 18]
-        per_class[i] += 1
         x = 3 * d + 1
         m = (x & -x).bit_length() - 1
         target = x >> m
-        p = derive_profile(i, m)
-        n, rem = divmod(d - p.d_offset, p.d_modulus)
+        key = m * 18 + d % 18
+        row = rows.get(key)
+        if row is None:
+            i = _CLASS_OF[d % 18]
+            p = derive_profile(i, m)
+            row = rows[key] = (i, p.d_offset, p.d_modulus)
+        i, offset, modulus = row
+        per_class[i] += 1
+        n, rem = divmod(d - offset, modulus)
         if rem or n < 0:
             counterexamples.append(Counterexample(
-                d, f"exact reconstruction {p.d_modulus}n + {p.d_offset}",
+                d, f"exact reconstruction {modulus}n + {offset}",
                 f"remainder {rem}"))
             continue
         if not 54 * n < target < 54 * (n + 1):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collatz_cover import (ProfileTable, RESIDUE_ORDER, classify, cover_audit,
+from collatz_cover import (ProfileTable, RESIDUE_ORDER, build_report,
+                           build_schema, classify, cover_audit,
                            cyclic_recurrence_check, derive_profile,
-                           digit_root_class, digital_root, residue_class)
+                           digit_root_class, digital_root, residue_class, trace)
 from collatz_cover.covering import CSV_HEADER, membership_counts
 from oracles import valuation_by_division
 
@@ -229,6 +230,27 @@ def test_digit_root_class_examples():
     assert digit_root_class(341) == residue_class(341)  # residue 17, class 5
     assert RESIDUE_ORDER[digit_root_class(341) - 1] == 17
     assert digit_root_class(9) == 9
+
+
+def test_digit_root_class_past_the_int_str_digit_limit():
+    # one str() of d would exceed the default 4300-digit conversion limit
+    d = 10**5000 + 1
+    assert digit_root_class(d) == residue_class(d)
+    assert digital_root(d) == 2
+    assert digital_root(10**5000 - 1) == 9  # 5000 nines: a real digit sum
+
+
+def test_record_types_are_immutable_and_compare_by_value():
+    records = ((derive_profile(4, 3), "d_offset"), (trace(13), "sigma"),
+               (build_report("check", {}), "outcome"),
+               (ProfileTable.build(2), "max_m"), (build_schema(2), "rows"))
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    fresh = derive_profile.__wrapped__(4, 3)  # bypasses the lru_cache
+    assert fresh is not derive_profile(4, 3)
+    assert fresh == derive_profile(4, 3)
+    assert hash(fresh) == hash(derive_profile(4, 3))
 
 
 def test_digit_root_class_agrees_on_range():

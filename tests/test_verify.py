@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -269,6 +270,32 @@ def test_range_flags_a_cache_entry_the_table_contradicts():
     assert report.outcome == "fail"
     assert report.counterexamples == (
         (27, "sigma 111 (= sigma(41) + 2)", "112"),)
+
+
+def test_range_flags_a_row_with_a_shifted_offset(monkeypatch):
+    # a row whose offset is one modulus too high puts its n = 0 member below
+    # the progression and reads every other member one index low, so the
+    # reconstruction and boundedness checks must both fire on that row alone
+    i, m = 1, 1
+    true = derive_profile(i, m)  # 36n + 19
+    shifted = SimpleNamespace(class_index=i, m=m, d_modulus=true.d_modulus,
+                              d_offset=true.d_offset + true.d_modulus)
+
+    def patched(ci, cm):
+        return shifted if (ci, cm) == (i, m) else derive_profile(ci, cm)
+
+    monkeypatch.setattr(verify_module, "derive_profile", patched)
+    report = verify_range(1, 2001)
+    members = range(true.d_offset, 2002, true.d_modulus)
+    expected = [(true.d_offset,
+                 f"exact reconstruction {true.d_modulus}n + {shifted.d_offset}",
+                 "remainder 0")]
+    expected += [(d, f"next odd strictly inside (54*{n - 1}, 54*{n})",
+                  str((3 * d + 1) >> m))
+                 for n, d in enumerate(members) if n]
+    assert report.outcome == "fail"
+    assert report.counterexamples == tuple(expected)
+    assert report.items_checked == 1001
 
 
 def test_range_skips_cache_values_too_large_for_the_table():
