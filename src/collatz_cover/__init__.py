@@ -6,8 +6,8 @@ generalized map schemata, and machine verification of the system's claims.
 """
 
 from .arith import (BudgetExceededError, CollatzTrace, DEFAULT_BUDGET, OddStep,
-                    SigmaCache, four_d_plus_one, odd_step, sigma_infinity,
-                    trace, two_adic_valuation)
+                    four_d_plus_one, odd_step, sigma_infinity, trace,
+                    two_adic_valuation)
 from .covering import (Profile, ProfileTable, RESIDUE_ORDER, classify,
                        cover_audit, cyclic_recurrence_check, derive_profile,
                        digit_root_class, digital_root, residue_class)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError", "CollatzTrace", "Counterexample",
     "DEFAULT_BUDGET", "Deferred", "OddStep", "Profile", "ProfileTable",
-    "RESIDUE_ORDER", "SchemaTable", "SigmaCache", "SigmaSchemaTable",
+    "RESIDUE_ORDER", "SchemaTable", "SigmaSchemaTable",
     "VerifyReport", "build_report", "build_schema", "build_sigma_schema", "classify", "cover_audit", "cyclic_recurrence_check",
     "derive_profile", "digit_root_class", "digital_root", "four_d_plus_one",
     "odd_step", "render", "render_str", "report_to_json", "report_to_text",

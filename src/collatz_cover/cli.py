@@ -170,7 +170,7 @@ def _emit(text: str, output: str | None) -> int:
         sys.stdout.write(text)
         return EXIT_PASS
     try:
-        with open(output, "w") as fh:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -374,6 +374,9 @@ def _run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UnicodeEncodeError as exc:  # a ValueError, but stdout's fault
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as exc:  # parameter validation from the library
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

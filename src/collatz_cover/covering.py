@@ -61,12 +61,6 @@ class Profile(NamedTuple):
     def member(self, n: int) -> int:
         return self.d_modulus * n + self.d_offset
 
-    def next_value(self, n: int) -> int:
-        return self.next_modulus * n + self.next_offset
-
-    def contains(self, d: int) -> bool:
-        return d % self.d_modulus == self.d_offset
-
     def row_dict(self) -> dict:
         return {
             "i": self.class_index,

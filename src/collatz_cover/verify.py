@@ -4,9 +4,9 @@ The 162-row determinism claim is checked symbolically, as exact integer
 coefficient identities in n, not by sampling; the boundedness and
 stopping-time recurrence claims are audited over explicit ranges. The range
 sweep, which the recurrence audit runs through, keeps the stopping times it
-finds in a dense table of 4 bytes per odd value of its range; its report
-depends only on the range, the class and the budget, not on whether a memo
-was passed or how much it already held.
+finds in a dense table of 4 bytes per odd value of its range, and those of
+values below its start in a dict of its own; its report depends only on the
+range, the class and the budget.
 """
 
 from __future__ import annotations
@@ -14,39 +14,25 @@ from __future__ import annotations
 from array import array
 from time import perf_counter
 
-from .arith import (BudgetExceededError, DEFAULT_BUDGET, DEFAULT_MAX_KEY,
-                    SigmaCache, sigma_infinity, two_adic_valuation)
+from .arith import (BudgetExceededError, DEFAULT_BUDGET, sigma_infinity,
+                    two_adic_valuation)
 from .covering import (_CLASS_OF, RESIDUE_ORDER, cyclic_recurrence_check,
                        derive_profile, residue_class)
 from .reports import Counterexample, Deferred, VerifyReport, build_report
 
-#: Largest stopping time a table entry holds (array typecode "I").
-_TABLE_MAX = (1 << 32) - 1
+#: Values below a sweep's start are kept only below this bound: above it, a
+#: store of every value met below the start grows with the range (about 1e6
+#: entries for 1e5 odd integers at 1e12).
+_BELOW_MAX = 1 << 32
 
 
-def _seeded_table(first: int, end: int, cache: SigmaCache | None) -> array:
-    """A dense stopping-time table over the odd values of [first, end], for
-    odd first >= 1: ``table[(y - first) >> 1]`` holds sigma(y), 0 while
-    unknown (sigma(1) = 0 is never stored: 1 ends every walk). It starts from
-    the entries a given cache already holds for the range, such as an
-    earlier sweep's, except values too large for its 32-bit cells."""
-    table = array("I", [0]) * ((end - first) // 2 + 1)
-    if cache is not None and len(cache):
-        cache_get = cache.get
-        for k in range(len(table)):
-            known = cache_get(first + 2 * k)
-            if known is not None and known <= _TABLE_MAX:
-                table[k] = known
-    return table
-
-
-def _share_table(table: array, first: int, cache: SigmaCache | None) -> None:
-    """Put the table's known entries into the caller's cache, if any."""
-    if cache is None:
-        return
-    for k, value in enumerate(table):
-        if value:
-            cache.put(first + 2 * k, value)
+def _stores(first: int, end: int) -> tuple[array, dict[int, int]]:
+    """A range sweep's two stopping-time stores, for odd first >= 1, both
+    empty. The dense table covers the odd values of [first, end]:
+    ``table[(y - first) >> 1]`` holds sigma(y), 0 while unknown (sigma(1) = 0
+    is never stored: 1 ends every walk). The dict maps odd values below
+    ``min(first, _BELOW_MAX)`` to their stopping times."""
+    return array("I", [0]) * ((end - first) // 2 + 1), {}
 
 
 def verify_theorem1_symbolic(max_m: int) -> VerifyReport:
@@ -117,22 +103,21 @@ def verify_conjecture1(bound: int, start: int = 1) -> VerifyReport:
     )
 
 
-def verify_sigma_relation(bound: int, cache: SigmaCache | None = None,
+def verify_sigma_relation(bound: int,
                           budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Check sigma(d) == sigma((3d+1)/2^m) + m + 1 for all odd 1 < d <= bound,
     plus the fixed worked pair sigma(13) = 9, sigma(5) = 5.
 
     The recurrence comparison is the one ``verify_range(3, bound)`` makes,
-    with its table, its deferrals and its cache handling; the sweep's
-    reconstruction and boundedness checks run too and report here. Like the
-    sweep's, this comparison checks the consistency of one table, not two
-    independent computations. The worked pair is walked apart, with no
-    memo; a worked value past ``budget`` is deferred, once, like any other
-    input."""
+    with its table and its deferrals; the sweep's reconstruction and
+    boundedness checks run too and report here. Like the sweep's, this
+    comparison checks the consistency of one table, not two independent
+    computations. The worked pair is walked apart, with no memo; a worked
+    value past ``budget`` is deferred, once, like any other input."""
     t0 = perf_counter()
     if bound < 3:
         raise ValueError(f"bound must be >= 3, got {bound}")
-    sweep = verify_range(3, bound, budget=budget, cache=cache)
+    sweep = verify_range(3, bound, budget=budget)
     counterexamples = list(sweep.counterexamples)
     deferred = list(sweep.deferred)
     for value, expected in ((13, 9), (5, 5)):
@@ -187,31 +172,25 @@ def verify_cyclic(samples_per_class: int = 100, seed: int = 0) -> VerifyReport:
 
 
 def verify_range(start: int, end: int, class_filter: int | None = None,
-                 budget: int = DEFAULT_BUDGET,
-                 cache: SigmaCache | None = None) -> VerifyReport:
+                 budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Run reconstruction, boundedness, and the stopping-time recurrence over
     every odd integer in [start, end] (optionally one class only).
 
     The odd integers are checked in ascending order in one loop, which keeps
-    their stopping times in a dense table over [start, end] (see
-    ``_seeded_table``), 4 bytes per odd integer. For each d the loop reads
-    sigma(target) from the table, and only when it is unknown walks
-    odd-to-odd from target until it reaches 1, a known entry, or a value
-    below ``start``, storing the walk's values that lie in the range. Every
-    row with m >= 2 lands below d, so in a full sweep its target is a single
-    table read. Values below ``start`` resolve through ``cache``, or without
-    one through a fresh memo that admits only those values, and only below
-    the cache's default admission bound; a given cache also receives the
-    table's entries after the sweep.
+    their stopping times in a dense table over [start, end], 4 bytes per odd
+    integer, and those of the values below ``start`` in a dict, only below
+    ``_BELOW_MAX`` (see ``_stores``). For each d the loop reads sigma(target)
+    from the table, and only when it is unknown walks odd-to-odd from target
+    until it reaches 1 or a known entry of either store, then stores the
+    walk's values that either store admits. Every row with m >= 2 lands below
+    d, so in a full sweep its target is a single table read.
 
     sigma(d) is its table entry, or sigma(target) + m + 1 when it has none.
     The recurrence comparison therefore only bites on entries that an
-    earlier walk or the cache stored: it checks that one table is
-    consistent, and is not an independent audit of the stopping times.
+    earlier walk stored: it checks that one table is consistent, and is not
+    an independent audit of the stopping times.
 
     An odd integer is deferred when its stopping time exceeds ``budget``.
-    No argument but the range, the class and the budget changes the report:
-    a cold, a warm and an absent cache give the same bytes.
     """
     t0 = perf_counter()
     if not 1 <= start <= end:
@@ -229,15 +208,9 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
         if lo > end:
             raise ValueError(
                 f"no odd integers of class {class_filter} in [{start}, {end}]")
-    table = _seeded_table(first, end, cache)
-    # a memo of our own keeps only the values below the range: the table
-    # holds those inside it, and those above it cost memory for few hits.
-    # The default admission bound still applies: far above it, a memo of
-    # every value below the start met grows with the range (about 1e6
-    # entries for 1e5 odd integers at 1e12).
-    memo = (SigmaCache(max_key=min(first, DEFAULT_MAX_KEY)) if cache is None
-            else cache)
-    memo_get = memo.get
+    table, below = _stores(first, end)
+    below_get = below.get
+    below_max = min(first, _BELOW_MAX)
     counterexamples: list[Counterexample] = []
     deferred: list[Deferred] = []
     per_class = [0] * 10
@@ -280,23 +253,26 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
             steps += known
         elif x != 1:
             path = []  # (index, unit steps from d) per value to store
+            # (value, unit steps from d) below the start; made on first use,
+            # since an empty list per walk slows the full sweep
+            below_path = None
             while x != 1 and steps <= budget:
-                if x < first:
-                    tail = memo_get(x)
-                    if tail is None:
-                        try:
-                            tail = sigma_infinity(x, memo, budget)
-                        except BudgetExceededError:
-                            tail = budget  # sigma(x) alone is past the budget
-                    steps += tail
-                    break
                 if x <= end:
-                    k = (x - first) >> 1
-                    known = table[k]
-                    if known:
-                        steps += known
-                        break
-                    path.append((k, steps))
+                    if x >= first:
+                        k = (x - first) >> 1
+                        known = table[k]
+                        if known:
+                            steps += known
+                            break
+                        path.append((k, steps))
+                    elif x < below_max:
+                        known = below_get(x)
+                        if known is not None:
+                            steps += known
+                            break
+                        if below_path is None:
+                            below_path = []
+                        below_path.append((x, steps))
                 x = 3 * x + 1
                 s = (x & -x).bit_length() - 1
                 x >>= s
@@ -304,6 +280,9 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
             if steps <= budget:
                 for k, consumed in path:
                     table[k] = steps - consumed
+                if below_path is not None:
+                    for y, consumed in below_path:
+                        below[y] = steps - consumed
         if steps > budget:
             deferred.append(Deferred(d, str(BudgetExceededError(d, budget))))
         elif not sigma_d:
@@ -311,7 +290,6 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
         elif sigma_d != steps:
             counterexamples.append(Counterexample(
                 d, f"sigma {steps} (= sigma({target}) + {m + 1})", str(sigma_d)))
-    _share_table(table, first, cache)
     return build_report(
         "range-sweep",
         {"start": start, "end": end, "class_filter": class_filter,

@@ -3,8 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from collatz_cover import SigmaCache
-
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -14,10 +12,3 @@ def reference_tables():
     schemata, the golden fixture for regeneration tests."""
     with open(DATA_DIR / "reference_tables.json") as fh:
         return json.load(fh)
-
-
-@pytest.fixture(scope="session")
-def shared_cache():
-    """One stopping-time cache for the whole session; results never depend
-    on cache warmth, so sharing is purely a speedup."""
-    return SigmaCache()

@@ -5,7 +5,7 @@ import json
 from contextlib import contextmanager
 from time import perf_counter
 
-from collatz_cover import (ProfileTable, SigmaCache, build_schema,
+from collatz_cover import (ProfileTable, build_schema,
                            build_sigma_schema, cover_audit, digit_root_class,
                            render_str, report_to_json, residue_class,
                            sigma_infinity, verify_conjecture1, verify_range,
@@ -119,7 +119,7 @@ def test_criterion_06_conjecture1_bounded():
         assert perf_counter() - start < 30.0
 
 
-def test_criterion_07_sigma_recurrence_against_oracle(shared_cache):
+def test_criterion_07_sigma_recurrence_against_oracle():
     with criterion(7, "stopping-time recurrence vs unit-step oracle to 1e5"):
         start = perf_counter()
         memo = {}
@@ -132,11 +132,11 @@ def test_criterion_07_sigma_recurrence_against_oracle(shared_cache):
         assert checked == BOUND_MEDIUM // 2 - 1
         # and the library agrees with the oracle on every input
         for d in range(1, BOUND_MEDIUM + 1, 2):
-            assert sigma_infinity(d, shared_cache) == memo[d]
+            assert sigma_infinity(d) == memo[d]
         assert perf_counter() - start < 10.0
 
 
-def test_criterion_08_four_d_plus_one_properties(shared_cache):
+def test_criterion_08_four_d_plus_one_properties():
     with criterion(8, "4d+1 class cycle and sigma shift to 1e5"):
         start = perf_counter()
         for d in range(1, BOUND_MEDIUM + 1, 2):
@@ -145,8 +145,7 @@ def test_criterion_08_four_d_plus_one_properties(shared_cache):
         # the sigma shift inherits the recurrence's domain (odd d > 1):
         # sigma(1) = 0 by termination, so d = 1 is its lone exception
         for d in range(3, BOUND_MEDIUM + 1, 2):
-            assert sigma_infinity(4 * d + 1, shared_cache) == \
-                sigma_infinity(d, shared_cache) + 2
+            assert sigma_infinity(4 * d + 1) == sigma_infinity(d) + 2
         assert sigma_infinity(5) == 5 and sigma_infinity(1) == 0
         assert perf_counter() - start < 10.0
 
@@ -159,13 +158,13 @@ def test_criterion_09_digit_root_agreement():
         assert perf_counter() - start < 5.0
 
 
-def test_criterion_10_range_sweep_determinism():
-    with criterion(10, "range sweep byte-identical with no, cold and warm memo"):
-        memo = SigmaCache()
-        reports = [verify_range(1, BOUND_LARGE),
-                   verify_range(1, BOUND_LARGE, cache=memo),  # cold
-                   verify_range(1, BOUND_LARGE, cache=memo)]  # warm
-        blobs = [report_to_json(r) for r in reports]
-        assert blobs[0] == blobs[1] == blobs[2]
-        assert reports[0].outcome == "pass"
-        assert reports[0].items_checked == BOUND_LARGE // 2
+def test_criterion_10_range_sweep_determinism(capsys):
+    with criterion(10, "range sweep JSON byte-identical in library and CLI"):
+        report = verify_range(1, BOUND_LARGE)
+        capsys.readouterr()
+        code = main(["verify", "range", "--end", str(BOUND_LARGE),
+                     "--format", "json"])
+        assert capsys.readouterr().out == report_to_json(report)
+        assert code == 0
+        assert report.outcome == "pass"
+        assert report.items_checked == BOUND_LARGE // 2

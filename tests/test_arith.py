@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collatz_cover import (BudgetExceededError, SigmaCache, four_d_plus_one,
-                           odd_step, sigma_infinity, trace, two_adic_valuation)
+from collatz_cover import (BudgetExceededError, four_d_plus_one, odd_step,
+                           sigma_infinity, trace, two_adic_valuation)
 from oracles import unit_step_sigma, valuation_by_division
 
 odd_ints = st.integers(min_value=0, max_value=10**30).map(lambda k: 2 * k + 1)
@@ -69,17 +69,14 @@ def test_sigma_rejects_nonpositive():
 
 
 def test_sigma_matches_unit_step_oracle():
-    cache = SigmaCache()
     for n in range(1, 600):
-        assert sigma_infinity(n, cache) == unit_step_sigma(n), n
+        assert sigma_infinity(n) == unit_step_sigma(n), n
 
 
 def test_sigma_recurrence_sampled():
-    cache = SigmaCache()
     for d in range(3, 2002, 2):
         step = odd_step(d)
-        assert sigma_infinity(d, cache) == \
-            sigma_infinity(step.target, cache) + step.m + 1
+        assert sigma_infinity(d) == sigma_infinity(step.target) + step.m + 1
 
 
 def test_budget_boundary():
@@ -91,30 +88,12 @@ def test_budget_boundary():
     assert trace(27, budget=111).sigma == 111
 
 
-def test_budget_check_is_cache_independent():
-    warm = SigmaCache()
-    sigma_infinity(27, warm)  # fully resolves and memoizes the orbit
-    assert sigma_infinity(27, warm, budget=111) == 111
+def test_budget_counts_the_halvings_of_even_inputs():
+    assert sigma_infinity(2**20, budget=20) == 20
     with pytest.raises(BudgetExceededError):
-        sigma_infinity(27, warm, budget=110)
-
-
-def test_cache_transparency():
-    cold = SigmaCache()
-    warm = SigmaCache()
-    for d in range(1, 2002):
-        sigma_infinity(d, warm)
-    plain = [sigma_infinity(d) for d in range(1, 2002)]
-    with_cold = [sigma_infinity(d, cold) for d in range(1, 2002)]
-    with_warm = [sigma_infinity(d, warm) for d in range(1, 2002)]
-    assert plain == with_cold == with_warm
-
-
-def test_cache_entries_are_true_stopping_times():
-    cache = SigmaCache()
-    sigma_infinity(97, cache)
-    for key, value in cache.items():
-        assert value == unit_step_sigma(key)
+        sigma_infinity(2**20, budget=19)
+    with pytest.raises(BudgetExceededError):
+        sigma_infinity(2 * 27, budget=111)
 
 
 def test_trace_examples():
@@ -145,14 +124,6 @@ def test_trace_chains_and_sums(d):
     assert t.sigma == sigma_infinity(d)
 
 
-def test_trace_populates_cache():
-    cache = SigmaCache()
-    t = trace(19, cache)
-    assert cache.get(19) == t.sigma
-    for step in t.steps:
-        assert cache.get(step.source) is not None
-
-
 def test_four_d_plus_one_examples():
     assert four_d_plus_one(19) == 77
     assert four_d_plus_one(1) == 5
@@ -170,9 +141,8 @@ def test_four_d_plus_one_shares_target(d):
 
 
 def test_four_d_plus_one_sigma_shift():
-    cache = SigmaCache()
     for d in range(3, 2002, 2):
-        assert sigma_infinity(4 * d + 1, cache) == sigma_infinity(d, cache) + 2
+        assert sigma_infinity(4 * d + 1) == sigma_infinity(d) + 2
 
 
 def test_four_d_plus_one_sigma_shift_fails_only_at_the_fixed_point():

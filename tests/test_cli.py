@@ -267,6 +267,25 @@ def test_output_file_failure(capsys, tmp_path):
     assert "error" in err
 
 
+def test_output_file_is_utf8_and_unencodable_stdout_is_an_error(tmp_path):
+    # under an ASCII locale the sigma map's non-ASCII header cannot reach
+    # stdout: that is an output failure (exit 1), not a usage error, and an
+    # --output file is written as UTF-8 whatever the locale
+    env = _env_with_src()
+    env.pop("PYTHONIOENCODING", None)
+    env.update(PYTHONUTF8="0", LC_ALL="C")
+    argv = [sys.executable, "-m", "collatz_cover.cli", "map", "sigma"]
+    target = tmp_path / "map.txt"
+    written = subprocess.run([*argv, "--output", str(target)], env=env,
+                             capture_output=True, timeout=60)
+    assert (written.returncode, written.stdout) == (0, b"")
+    golden = Path(__file__).parent / "data" / "golden" / "map-sigma.text"
+    assert target.read_bytes() == golden.read_bytes()
+    printed = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert (printed.returncode, printed.stdout) == (1, b"")
+    assert printed.stderr.startswith(b"error: 'ascii' codec can't encode")
+
+
 def test_stdout_reproducible(capsys):
     _, first, _ = run(capsys, "map", "schema", "--max-m", "4", "--format", "json")
     _, second, _ = run(capsys, "map", "schema", "--max-m", "4", "--format", "json")
@@ -332,13 +351,20 @@ def test_main_restores_int_digit_limit(capsys):
     assert out.startswith(f"d={digits} sigma=")
 
 
-def _modules_after_cli_import(names, *flags) -> str:
-    """The subset of ``names`` in sys.modules after a fresh interpreter,
-    started with ``flags``, imports the CLI."""
+def _env_with_src() -> dict:
+    """The environment with the imported package's source tree first on
+    PYTHONPATH, for subprocesses."""
     src = str(Path(collatz_cover.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def _modules_after_cli_import(names, *flags) -> str:
+    """The subset of ``names`` in sys.modules after a fresh interpreter,
+    started with ``flags``, imports the CLI."""
+    env = _env_with_src()
     probe = ("import sys, collatz_cover.cli; "
              f"print(sorted(m for m in {names!r} if m in sys.modules))")
     result = subprocess.run([sys.executable, *flags, "-c", probe], env=env,

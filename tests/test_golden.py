@@ -32,7 +32,8 @@ CASES = {
     "verify-range": ["verify", "range", "--end", "20001"],
     "verify-range-class9": ["verify", "range", "--start", "1001", "--end", "20001",
                             "--class", "9"],
-    # walks from this window fall below its start, where the memo resolves them
+    # walks from this window fall below its start, and below 2^32 into the
+    # dict that keeps the stopping times of such values
     "verify-range-below-start": ["verify", "range", "--start", "1000000000001",
                                  "--end", "1000000002001"],
     "verify-range-deferred": ["verify", "range", "--end", "3001", "--budget", "40"],

@@ -96,7 +96,7 @@ def test_sigma_schema_base_residues_come_from_schema():
         assert a["next"]["offset"] == b["base_residue"]
 
 
-def test_numeric_consistency_links_both_maps(shared_cache):
+def test_numeric_consistency_links_both_maps():
     table = build_schema(18)
     for row in table.rows:
         for n in range(3):
@@ -104,15 +104,15 @@ def test_numeric_consistency_links_both_maps(shared_cache):
             if member == 1:
                 continue  # sigma(1) = 0 by termination; recurrence needs d > 1
             landing = row.next_modulus * n + row.next_offset
-            assert sigma_infinity(member, shared_cache) == \
-                sigma_infinity(landing, shared_cache) + row.m + 1
+            assert sigma_infinity(member) == \
+                sigma_infinity(landing) + row.m + 1
 
 
-def test_numeric_consistency_fixed_point_exception(shared_cache):
+def test_numeric_consistency_fixed_point_exception():
     # the n=0 member of 72n+1 is the terminal value itself
     row = next(r for r in build_schema(2).rows if r.d_offset == 1)
     assert (row.class_index, row.m) == (1, 2)
-    assert sigma_infinity(1, shared_cache) == 0
+    assert sigma_infinity(1) == 0
 
 
 def test_builders_reject_bad_max_m():

@@ -4,10 +4,9 @@ from types import SimpleNamespace
 import pytest
 
 import collatz_cover.verify as verify_module
-from collatz_cover import (SigmaCache, derive_profile, report_to_json,
-                           residue_class, verify_conjecture1, verify_cyclic,
-                           verify_range, verify_sigma_relation,
-                           verify_theorem1_symbolic)
+from collatz_cover import (derive_profile, report_to_json, residue_class,
+                           verify_conjecture1, verify_cyclic, verify_range,
+                           verify_sigma_relation, verify_theorem1_symbolic)
 from oracles import unit_step_sigma_memo
 
 
@@ -19,6 +18,43 @@ def _oracle_deferred(first, end, budget):
 
 def _budget_reason(d, budget):
     return f"budget exceeded: {d} not resolved within {budget} unit steps"
+
+
+def _watch_stores(monkeypatch, fill=None):
+    """Wrap the range sweep's store factory. Each run appends its
+    (first, table, below-start dict) to the returned list, and the sweep
+    then fills them; ``fill(first, table)`` runs on the fresh table first."""
+    runs = []
+    make = verify_module._stores
+
+    def stores(first, end):
+        table, below = make(first, end)
+        if fill is not None:
+            fill(first, table)
+        runs.append((first, table, below))
+        return table, below
+
+    monkeypatch.setattr(verify_module, "_stores", stores)
+    return runs
+
+
+def _table_entries(first, table):
+    """The table's known entries, keyed by their odd value."""
+    return {first + 2 * k: value for k, value in enumerate(table) if value}
+
+
+def _oracle_fill(limit):
+    """A fill that stores the true stopping time of every odd value of the
+    table up to ``limit``, as an earlier sweep would have."""
+    memo = {}
+
+    def fill(first, table):
+        for k in range(min(len(table), (limit - first) // 2 + 1)):
+            y = first + 2 * k
+            if y > 1:
+                table[k] = unit_step_sigma_memo(y, memo)
+
+    return fill
 
 
 def test_theorem1_at_default_depth():
@@ -86,11 +122,10 @@ def test_sigma_relation_defers_on_budget():
 
 @pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("budget", [9, 20, 50, 110, 111, 150, 1, 5, 8])
-def test_sigma_relation_defers_exactly_past_the_budget(budget, warm):
-    cache = SigmaCache() if warm else None
+def test_sigma_relation_defers_exactly_past_the_budget(monkeypatch, budget, warm):
     if warm:  # every stopping time known before the budgeted run
-        verify_sigma_relation(2001, cache)
-    report = verify_sigma_relation(2001, cache, budget=budget)
+        _watch_stores(monkeypatch, _oracle_fill(2001))
+    report = verify_sigma_relation(2001, budget=budget)
     assert not report.counterexamples
     assert [x.input for x in report.deferred] == _oracle_deferred(3, 2001, budget)
     assert all(x.reason == _budget_reason(x.input, budget) for x in report.deferred)
@@ -109,12 +144,13 @@ def test_sigma_relation_defers_worked_values_past_the_budget(bound, budget, work
     assert all(x.reason == _budget_reason(x.input, budget) for x in report.deferred)
 
 
-def test_sigma_relation_fills_a_given_cache_with_true_stopping_times():
-    cache = SigmaCache()
-    assert verify_sigma_relation(4001, cache).outcome == "pass"
+def test_sigma_relation_fills_a_given_cache_with_true_stopping_times(monkeypatch):
+    runs = _watch_stores(monkeypatch)
+    assert verify_sigma_relation(4001).outcome == "pass"
+    ((first, table, _),) = runs
     memo = {}
-    assert all(cache.get(d) == unit_step_sigma_memo(d, memo)
-               for d in range(3, 4002, 2))
+    assert _table_entries(first, table) == {
+        d: unit_step_sigma_memo(d, memo) for d in range(3, 4002, 2)}
 
 
 def test_sigma_relation_rejects_bad_bound():
@@ -158,13 +194,6 @@ def test_range_class_filter():
     assert all(per_class[str(i)] == 0 for i in range(1, 9))
 
 
-def test_range_warm_cache_changes_nothing():
-    cache = SigmaCache()
-    cold = verify_range(1, 5001, cache=cache)
-    warm = verify_range(1, 5001, cache=cache)
-    assert report_to_json(cold) == report_to_json(warm)
-
-
 def test_range_defers_on_budget():
     report = verify_range(1, 99, budget=20)
     assert report.outcome == "deferred"
@@ -204,39 +233,41 @@ def _oracle_case(start, end, class_filter=None, warm=False):
     _oracle_case(1, 2**17 - 1),
     # walks fall below the start
     *(_oracle_case(start, start + 2000) for start in (27, 703, 2**20 + 1)),
-    # a cache that already holds the lower half of the range seeds the table
+    # walks from far above 2^32 fall below the start, where the dict admits
+    # only the values below 2^32
+    _oracle_case(2**33 + 1, 2**33 + 2001),
+    # a table that already holds the lower half of the range
     _oracle_case(5001, 20001, warm=True),
     _oracle_case(1, 20001, 9, warm=True),
     *(_oracle_case(2001, 12001, i) for i in range(1, 10)),
 ])
-def test_range_stopping_times_match_oracle(start, end, class_filter, warm):
-    cache = SigmaCache()
-    if warm:
-        verify_range(1, end // 2, cache=cache)
-    report = verify_range(start, end, class_filter=class_filter, cache=cache)
+def test_range_stopping_times_match_oracle(monkeypatch, start, end, class_filter,
+                                           warm):
+    runs = _watch_stores(monkeypatch, _oracle_fill(end // 2) if warm else None)
+    report = verify_range(start, end, class_filter=class_filter)
     assert report.outcome == "pass"
+    ((first, table, below),) = runs
     memo = {}
     members = [d for d in range(start | 1, end + 1, 2)
                if class_filter is None or residue_class(d) == class_filter]
     assert report.items_checked == len(members)
+    stored = _table_entries(first, table)
     for d in members:
-        assert d == 1 or cache.get(d) == unit_step_sigma_memo(d, memo), d
-    for key, value in cache.items():  # also the memo below start
+        assert d == 1 or stored.get(d) == unit_step_sigma_memo(d, memo), d
+    for key, value in [*stored.items(), *below.items()]:
         assert value == unit_step_sigma_memo(key, memo), key
     if class_filter is not None:  # walks keep the other classes' values they pass
-        stored = [key for key, _ in cache.items() if start <= key <= end]
         assert len(stored) > len(members)
 
 
 @pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("start", [1, 1001, 27, 703, 2**20 + 1])
 @pytest.mark.parametrize("budget", [9, 20, 50, 110, 111, 150])
-def test_range_defers_exactly_past_the_budget(start, budget, warm):
+def test_range_defers_exactly_past_the_budget(monkeypatch, start, budget, warm):
     end = start + 2000
-    cache = SigmaCache() if warm else None
-    if warm:  # every stopping time known before the budgeted run
-        verify_range(start, end, cache=cache)
-    report = verify_range(start, end, budget=budget, cache=cache)
+    if warm:  # every stopping time of the range known before the budgeted run
+        _watch_stores(monkeypatch, _oracle_fill(end))
+    report = verify_range(start, end, budget=budget)
     assert not report.counterexamples
     assert [x.input for x in report.deferred] == _oracle_deferred(start, end, budget)
     assert all(x.reason == _budget_reason(x.input, budget) for x in report.deferred)
@@ -244,29 +275,40 @@ def test_range_defers_exactly_past_the_budget(start, budget, warm):
 
 @pytest.mark.parametrize("start, end", [(20001, 40001), (2**33 + 1, 2**33 + 2001)])
 def test_range_memo_keeps_only_values_below_the_start(monkeypatch, start, end):
-    # without a cache, values in the range live in the table and values
-    # above it are rarely met again, so the sweep's own memo holds neither;
-    # it keeps the default admission bound, 2^32, too
-    memos = []
+    # values in the range live in the table and values above it are rarely
+    # met again, so the dict holds neither; it admits nothing from 2^32 up.
+    # A walk ends on the first entry it meets, so no value is stored twice:
+    # a dict stored but never read would give the same report, only slower
+    class RewriteCountingDict(dict):
+        rewrites = 0
 
-    class RecordingCache(SigmaCache):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            memos.append(self)
+        def __setitem__(self, key, value):
+            self.rewrites += key in self
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(verify_module, "SigmaCache", RecordingCache)
+    make = verify_module._stores
+    dicts = []
+
+    def stores(first, end):
+        table, _ = make(first, end)
+        dicts.append(RewriteCountingDict())
+        return table, dicts[-1]
+
+    monkeypatch.setattr(verify_module, "_stores", stores)
     assert verify_range(start, end).outcome == "pass"
-    (memo,) = memos
-    keys = [key for key, _ in memo.items()]
-    assert keys and max(keys) < min(start, 2**32)
+    (below,) = dicts
+    assert below and max(below) < min(start, 2**32)
+    assert below.rewrites == 0
 
 
-def test_range_flags_a_cache_entry_the_table_contradicts():
+def test_range_flags_a_cache_entry_the_table_contradicts(monkeypatch):
     # the recurrence comparison bites on stored entries: sigma(27) = 111, and
     # no walk reaches 27, since 27 * 2^m - 1 is never a multiple of 3
-    cache = SigmaCache()
-    cache.put(27, 112)
-    report = verify_range(1, 101, cache=cache)
+    def poison(first, table):
+        table[(27 - first) >> 1] = 112
+
+    _watch_stores(monkeypatch, poison)
+    report = verify_range(1, 101)
     assert report.outcome == "fail"
     assert report.counterexamples == (
         (27, "sigma 111 (= sigma(41) + 2)", "112"),)
@@ -296,14 +338,6 @@ def test_range_flags_a_row_with_a_shifted_offset(monkeypatch):
     assert report.outcome == "fail"
     assert report.counterexamples == tuple(expected)
     assert report.items_checked == 1001
-
-
-def test_range_skips_cache_values_too_large_for_the_table():
-    cache = SigmaCache()
-    cache.put(27, 1 << 40)  # put admits any nonnegative value
-    report = verify_range(1, 101, cache=cache)
-    assert report.outcome == "pass"
-    assert cache.get(27) == 111
 
 
 def test_range_rejects_ranges_without_odd_members():
