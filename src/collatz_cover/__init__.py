@@ -3,31 +3,44 @@
 Exact arithmetic for odd-to-odd trajectories and total stopping times, the
 mod-18 residue classes with their CRT-derived progression table, the two
 generalized map schemata, and machine verification of the system's claims.
-"""
 
-from .arith import (BudgetExceededError, CollatzTrace, DEFAULT_BUDGET, OddStep,
-                    four_d_plus_one, odd_step, sigma_infinity, trace,
-                    two_adic_valuation)
-from .covering import (Profile, ProfileTable, RESIDUE_ORDER, classify,
-                       cover_audit, cyclic_recurrence_check, derive_profile,
-                       digit_root_class, digital_root, residue_class)
-from .mapgen import (SchemaTable, SigmaSchemaTable, build_schema,
-                     build_sigma_schema, render, render_str)
-from .reports import (Counterexample, Deferred, VerifyReport, build_report,
-                      report_to_json, report_to_text)
-from .verify import (verify_conjecture1, verify_cyclic, verify_range,
-                     verify_sigma_relation, verify_theorem1_symbolic)
+Each public name loads its module on first access (PEP 562), so that
+importing one submodule, as the CLI does, compiles only what it imports.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError", "CollatzTrace", "Counterexample",
-    "DEFAULT_BUDGET", "Deferred", "OddStep", "Profile", "ProfileTable",
-    "RESIDUE_ORDER", "SchemaTable", "SigmaSchemaTable",
-    "VerifyReport", "build_report", "build_schema", "build_sigma_schema", "classify", "cover_audit", "cyclic_recurrence_check",
-    "derive_profile", "digit_root_class", "digital_root", "four_d_plus_one",
-    "odd_step", "render", "render_str", "report_to_json", "report_to_text",
-    "residue_class", "sigma_infinity", "trace", "two_adic_valuation",
-    "verify_conjecture1", "verify_cyclic", "verify_range",
-    "verify_sigma_relation", "verify_theorem1_symbolic",
-]
+_SOURCES = {
+    "arith": ("BudgetExceededError", "CollatzTrace", "DEFAULT_BUDGET",
+              "OddStep", "four_d_plus_one", "odd_step", "sigma_infinity",
+              "trace", "two_adic_valuation"),
+    "covering": ("Profile", "ProfileTable", "RESIDUE_ORDER", "classify",
+                 "cyclic_recurrence_check", "derive_profile",
+                 "digit_root_class", "digital_root", "residue_class"),
+    "mapgen": ("SchemaTable", "SigmaSchemaTable", "build_schema",
+               "build_sigma_schema", "render", "render_str"),
+    "reports": ("Counterexample", "Deferred", "VerifyReport", "build_report",
+                "report_to_json", "report_to_text"),
+    "verify": ("cover_audit", "verify_conjecture1", "verify_cyclic",
+               "verify_range", "verify_sigma_relation",
+               "verify_theorem1_symbolic"),
+}
+
+_MODULE_OF = {name: module for module, names in _SOURCES.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

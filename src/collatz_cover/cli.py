@@ -15,13 +15,38 @@ import os
 import sys
 
 from .arith import BudgetExceededError, DEFAULT_BUDGET, sigma_infinity
-from .covering import (ProfileTable, classify, cover_audit, digit_root_class,
-                       residue_class)
-from .mapgen import build_schema, build_sigma_schema, format_progression, render_str
+from .covering import ProfileTable, classify, digit_root_class, residue_class
 from .reports import (OUTCOME_DEFERRED, OUTCOME_PASS, aligned, render_rows,
                       report_to_json, report_to_text)
-from .verify import (verify_conjecture1, verify_cyclic, verify_range,
-                     verify_sigma_relation, verify_theorem1_symbolic)
+
+#: Names of the modules that only some commands run: verify for the verify
+#: command, mapgen for map and table's text form. ``_load`` binds them here
+#: on first use and the handlers call them as globals, so a wrapper already
+#: set on this module (the benchmark's tracer sets some) is the one called.
+_DEFERRED = {
+    "verify": ("cover_audit", "verify_conjecture1", "verify_cyclic",
+               "verify_range", "verify_sigma_relation",
+               "verify_theorem1_symbolic"),
+    "mapgen": ("build_schema", "build_sigma_schema", "format_progression",
+               "render_str"),
+}
+
+
+def _load(module: str) -> None:
+    names = _DEFERRED[module]
+    source = __import__(f"{__package__}.{module}", fromlist=names)
+    bound = globals()
+    for name in names:
+        bound.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 CONFIG_ENV = "COLLATZ_COVER_CONFIG"
 
@@ -58,7 +83,7 @@ class Config:
 
 def _parse_config_file(path: str) -> dict[str, str]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
@@ -202,6 +227,7 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _table_text(rows: list[dict]) -> str:
+    _load("mapgen")
     return aligned([("i", "r", "m", "v_offset", "odd", "even", "next")] + [
         (str(r["i"]), str(r["r"]), str(r["m"]), str(r["v_offset"]),
          format_progression(r["d_modulus"], r["d_offset"]),
@@ -211,6 +237,7 @@ def _table_text(rows: list[dict]) -> str:
 
 
 def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
+    _load("mapgen")
     if args.which == "schema":
         table = build_schema(cfg.max_m)
     else:
@@ -288,6 +315,7 @@ def _require_flag(value, flag: str, check: str):
 def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     if cfg.output_format == "csv":
         raise UsageError("verify reports support text or json output")
+    _load("verify")
     check = args.check
     if check == "theorem1":
         report = verify_theorem1_symbolic(cfg.max_m)

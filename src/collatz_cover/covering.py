@@ -14,14 +14,11 @@ derives each one by the Chinese Remainder Theorem, for any m.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
-from time import perf_counter
 from typing import NamedTuple
 
 from .arith import _require_odd, two_adic_valuation
-from .reports import (Counterexample, Deferred, VerifyReport, build_report,
-                      rows_to_csv, rows_to_json)
+from .reports import rows_to_csv, rows_to_json
 
 #: The reordering of the odd residues mod 18 that makes d -> 4d+1 advance the
 #: class index by one (wrapping 9 -> 1).
@@ -200,72 +197,3 @@ def digit_root_class(d: int) -> int:
     root = digital_root(d)
     residue = root if root & 1 else root + 9
     return _CLASS_OF[residue]
-
-
-def membership_counts(bound: int, profiles) -> array:
-    """How many of ``profiles`` contain each odd d <= bound, indexed by
-    (d-1)//2. Each progression is walked by its own stride, so the count
-    costs O(bound + len(profiles)) rather than a test per pair."""
-    size = (bound + 1) // 2
-    counts = array("I", [0]) * size
-    for p in profiles:
-        for index in range(p.d_offset // 2, size, p.d_modulus // 2):
-            counts[index] += 1
-    return counts
-
-
-def cover_audit(bound: int, max_m: int) -> VerifyReport:
-    """Check the exactly-once cover over all odd d <= bound.
-
-    Counts, for each odd d, how many of the 9*max_m progressions contain it.
-    Multiple matches are failures. Zero matches are legitimate only when the
-    valuation of 3d+1 exceeds max_m (the progression exists in a deeper row);
-    those are reported as deferred, anything else as a failure.
-    """
-    start = perf_counter()
-    if bound < 3:
-        raise ValueError(f"bound must be >= 3, got {bound}")
-    if max_m < 1:
-        raise ValueError(f"max_m must be >= 1, got {max_m}")
-    profiles = [derive_profile(i, m)
-                for i in range(1, 10) for m in range(1, max_m + 1)]
-    counts = membership_counts(bound, profiles)
-
-    counterexamples = []
-    deferred = []
-    matched_once = 0
-    multiply_matched = []
-    unmatched = []
-    for index, count in enumerate(counts):
-        if count == 1:
-            matched_once += 1
-            continue
-        d = 2 * index + 1
-        if count > 1:
-            multiply_matched.append(d)
-            counterexamples.append(Counterexample(
-                d, "membership in exactly one progression",
-                f"{count} progressions"))
-        else:
-            unmatched.append(d)
-            m = two_adic_valuation(3 * d + 1)[0]
-            if m <= max_m:
-                counterexamples.append(Counterexample(
-                    d, f"membership in the class row for m={m}",
-                    "no progression matched"))
-            else:
-                deferred.append(Deferred(
-                    d, f"valuation {m} exceeds max_m {max_m}"))
-    return build_report(
-        "cover-audit",
-        {"bound": bound, "max_m": max_m},
-        counterexamples=counterexamples,
-        deferred=deferred,
-        items_checked=(bound + 1) // 2,
-        elapsed_s=perf_counter() - start,
-        details={
-            "matched_once": matched_once,
-            "multiply_matched": multiply_matched,
-            "unmatched": unmatched,
-        },
-    )

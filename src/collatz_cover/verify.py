@@ -1,8 +1,9 @@
 """Machine verification: symbolic identities, empirical audits, range sweeps.
 
 The 162-row determinism claim is checked symbolically, as exact integer
-coefficient identities in n, not by sampling; the boundedness and
-stopping-time recurrence claims are audited over explicit ranges. The range
+coefficient identities in n, not by sampling; the exactly-once cover, the
+boundedness and the stopping-time recurrence claims are audited over explicit
+ranges. The range
 sweep, which the recurrence audit runs through, keeps the stopping times it
 finds in a dense table of 4 bytes per odd value of its range, and those of
 values below its start in a dict of its own; its report depends only on the
@@ -70,6 +71,75 @@ def verify_theorem1_symbolic(max_m: int) -> VerifyReport:
         counterexamples=counterexamples,
         items_checked=9 * max_m,
         elapsed_s=perf_counter() - start,
+    )
+
+
+def membership_counts(bound: int, profiles) -> array:
+    """How many of ``profiles`` contain each odd d <= bound, indexed by
+    (d-1)//2. Each progression is walked by its own stride, so the count
+    costs O(bound + len(profiles)) rather than a test per pair."""
+    size = (bound + 1) // 2
+    counts = array("I", [0]) * size
+    for p in profiles:
+        for index in range(p.d_offset // 2, size, p.d_modulus // 2):
+            counts[index] += 1
+    return counts
+
+
+def cover_audit(bound: int, max_m: int) -> VerifyReport:
+    """Check the exactly-once cover over all odd d <= bound.
+
+    Counts, for each odd d, how many of the 9*max_m progressions contain it.
+    Multiple matches are failures. Zero matches are legitimate only when the
+    valuation of 3d+1 exceeds max_m (the progression exists in a deeper row);
+    those are reported as deferred, anything else as a failure.
+    """
+    start = perf_counter()
+    if bound < 3:
+        raise ValueError(f"bound must be >= 3, got {bound}")
+    if max_m < 1:
+        raise ValueError(f"max_m must be >= 1, got {max_m}")
+    profiles = [derive_profile(i, m)
+                for i in range(1, 10) for m in range(1, max_m + 1)]
+    counts = membership_counts(bound, profiles)
+
+    counterexamples = []
+    deferred = []
+    matched_once = 0
+    multiply_matched = []
+    unmatched = []
+    for index, count in enumerate(counts):
+        if count == 1:
+            matched_once += 1
+            continue
+        d = 2 * index + 1
+        if count > 1:
+            multiply_matched.append(d)
+            counterexamples.append(Counterexample(
+                d, "membership in exactly one progression",
+                f"{count} progressions"))
+        else:
+            unmatched.append(d)
+            m = two_adic_valuation(3 * d + 1)[0]
+            if m <= max_m:
+                counterexamples.append(Counterexample(
+                    d, f"membership in the class row for m={m}",
+                    "no progression matched"))
+            else:
+                deferred.append(Deferred(
+                    d, f"valuation {m} exceeds max_m {max_m}"))
+    return build_report(
+        "cover-audit",
+        {"bound": bound, "max_m": max_m},
+        counterexamples=counterexamples,
+        deferred=deferred,
+        items_checked=(bound + 1) // 2,
+        elapsed_s=perf_counter() - start,
+        details={
+            "matched_once": matched_once,
+            "multiply_matched": multiply_matched,
+            "unmatched": unmatched,
+        },
     )
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import collatz_cover
+import collatz_cover.cli as cli
 from collatz_cover.cli import main
 
 
@@ -286,6 +287,22 @@ def test_output_file_is_utf8_and_unencodable_stdout_is_an_error(tmp_path):
     assert printed.stderr.startswith(b"error: 'ascii' codec can't encode")
 
 
+def test_config_file_is_read_as_utf8(tmp_path):
+    # a comment outside ASCII must not turn a valid config into a usage
+    # error under an ASCII locale
+    config = tmp_path / "cover.conf"
+    config.write_bytes("# budget for σ runs\nbudget=50\n".encode("utf-8"))
+    env = _env_with_src()
+    env.pop("PYTHONIOENCODING", None)
+    env.update(PYTHONUTF8="0", LC_ALL="C")
+    result = subprocess.run(
+        [sys.executable, "-m", "collatz_cover.cli", "sigma", "27",
+         "--config", str(config)],
+        env=env, capture_output=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        3, b"d=27 deferred budget-exceeded\n", b"")
+
+
 def test_stdout_reproducible(capsys):
     _, first, _ = run(capsys, "map", "schema", "--max-m", "4", "--format", "json")
     _, second, _ = run(capsys, "map", "schema", "--max-m", "4", "--format", "json")
@@ -383,6 +400,108 @@ def test_cli_import_pulls_in_no_file_format_modules():
     names = ("tempfile", "struct", "dataclasses", "inspect", "json", "csv",
              "random")
     assert _modules_after_cli_import(names, "-S") == "[]"
+
+
+def test_cli_import_loads_no_verifier_or_map_builder():
+    names = ("collatz_cover.verify", "collatz_cover.mapgen")
+    assert _modules_after_cli_import(names, "-S") == "[]"
+
+
+def _own_modules_imported(*argv) -> set[str]:
+    """The collatz_cover modules that ``-X importtime`` lists for one
+    command run in a fresh interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "collatz_cover.cli", *argv],
+        env=_env_with_src(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=60)
+    assert result.returncode == 0, result.stderr[-500:]
+    return {line.rsplit("|", 1)[1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:") and "collatz_cover" in line}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("table", "--format", "csv"), set()),
+    (("sigma", "27"), set()),
+    (("classify", "27"), set()),
+    (("verify", "range", "--end", "99"), {"collatz_cover.verify"}),
+    (("map", "sigma"), {"collatz_cover.mapgen"}),
+], ids=["table-csv", "sigma", "classify", "verify-range", "map-sigma"])
+def test_commands_load_only_the_modules_they_run(argv, loaded):
+    deferred = {"collatz_cover.verify", "collatz_cover.mapgen"}
+    assert _own_modules_imported(*argv) & deferred == loaded
+
+
+def _names_the_tracer_wraps_on_cli(monkeypatch) -> list[str]:
+    """The names perfbench's TracedSuite.fine_patches tries to wrap on the
+    cli module, recorded by running it against stand-in modules."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import tracing
+
+    class Recorder:
+        def __init__(self):
+            self.names = []
+
+        def __getattr__(self, name):  # every name is missing: nothing is set
+            self.names.append(name)
+            raise AttributeError(name)
+
+    suite = object.__new__(tracing.TracedSuite)
+    suite.tracer, suite.caches = tracing.Tracer(), []
+    suite.cli, suite.verify, suite.covering = Recorder(), Recorder(), Recorder()
+    suite.fine_patches()
+    return suite.cli.names
+
+
+def test_every_name_the_tracer_wraps_resolves_on_cli(monkeypatch):
+    names = _names_the_tracer_wraps_on_cli(monkeypatch)
+    assert {"verify_range", "cover_audit", "render_str"} <= set(names)
+    # names the cli module does not call, which the tracer skips: SigmaCache
+    # went with the memo layer, and profiles are derived in covering
+    skipped = {"SigmaCache", "derive_profile"}
+    assert [n for n in names if n not in skipped and not hasattr(cli, n)] == []
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify_range", ("verify", "range", "--end", "99")),
+    ("cover_audit", ("verify", "cover", "--bound", "99", "--max-m", "9")),
+    ("build_schema", ("map", "schema", "--max-m", "2")),
+    ("report_to_json", ("verify", "range", "--end", "99", "--format", "json")),
+])
+def test_main_calls_the_function_bound_on_cli(capsys, monkeypatch, name, argv):
+    original = getattr(cli, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cli, name, wrapper)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_a_wrapper_bound_before_first_use_is_kept():
+    # the verify module is not loaded yet when the wrapper is set
+    probe = ("import collatz_cover.cli as cli\n"
+             "from collatz_cover.verify import verify_range\n"
+             "calls = []\n"
+             "cli.verify_range = lambda *a, **k: calls.append(a) or verify_range(*a, **k)\n"
+             "code = cli.main(['verify', 'range', '--end', '99'])\n"
+             "print(code, len(calls), cli.verify_range is not verify_range)\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines()[-1] == "0 1 True"
+
+
+def test_package_exports_every_public_name():
+    exported = {}
+    exec("from collatz_cover import *", exported)
+    assert set(collatz_cover.__all__) <= set(exported)
+    assert set(collatz_cover.__all__) <= set(dir(collatz_cover))
+    assert exported["cover_audit"] is collatz_cover.verify.cover_audit
+    assert not hasattr(collatz_cover, "no_such_name")
 
 
 def test_help_exits_zero(capsys):

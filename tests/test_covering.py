@@ -8,7 +8,8 @@ from collatz_cover import (ProfileTable, RESIDUE_ORDER, build_report,
                            build_schema, classify, cover_audit,
                            cyclic_recurrence_check, derive_profile,
                            digit_root_class, digital_root, residue_class, trace)
-from collatz_cover.covering import CSV_HEADER, membership_counts
+from collatz_cover.covering import CSV_HEADER
+from collatz_cover.verify import membership_counts
 from oracles import valuation_by_division
 
 odd_ints = st.integers(min_value=0, max_value=10**24).map(lambda k: 2 * k + 1)
