@@ -40,6 +40,10 @@ CASES = {
     "verify-sigma-relation": ["verify", "sigma-relation", "--bound", "20001"],
     "verify-sigma-relation-deferred": ["verify", "sigma-relation", "--bound", "101",
                                        "--budget", "5"],
+    "verify-conjecture1": ["verify", "conjecture1", "--bound", "20001"],
+    "verify-conjecture1-start": ["verify", "conjecture1", "--start", "1001",
+                                 "--bound", "20001"],
+    "verify-theorem1-m40": ["verify", "theorem1", "--max-m", "40"],
 }
 
 FORMATS = ("text", "csv", "json")

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import collatz_cover.verify as verify_module
 from collatz_cover import (derive_profile, report_to_json, residue_class,
                            verify_conjecture1, verify_cyclic, verify_range,
                            verify_sigma_relation, verify_theorem1_symbolic)
-from oracles import unit_step_sigma_memo
+from oracles import reference_range_sweep, unit_step_sigma_memo
 
 
 def _oracle_deferred(first, end, budget):
@@ -102,6 +103,35 @@ def test_conjecture1_rejects_empty_range():
         verify_conjecture1(4, start=4)
     with pytest.raises(ValueError):
         verify_conjecture1(10, start=0)
+
+
+def test_conjecture1_proves_every_odd_integer_to_a_googol():
+    # each row is proved once, so the cost grows with the number of rows,
+    # (3 * bound + 1).bit_length() per class, not with the bound
+    bound = 10**100
+    report = verify_conjecture1(bound)
+    assert report.outcome == "pass"
+    assert report.items_checked == (bound + 1) // 2
+    assert sum(report.details["per_class"].values()) == (bound + 1) // 2
+
+
+def test_theorem1_flags_a_row_with_a_shifted_offset(monkeypatch):
+    # one modulus too high, the offset leaves [0, modulus) and lands on
+    # a + 54, which only the range and landing-residue checks see
+    true = derive_profile(2, 3)
+    shifted = SimpleNamespace(d_modulus=true.d_modulus,
+                              d_offset=true.d_offset + true.d_modulus,
+                              next_offset=true.next_offset + 54)
+    monkeypatch.setattr(
+        verify_module, "derive_profile",
+        lambda i, m: shifted if (i, m) == (2, 3) else derive_profile(i, m))
+    report = verify_theorem1_symbolic(5)
+    assert report.counterexamples == (
+        ("(i=2, m=3)", f"offset in [0, {true.d_modulus})",
+         str(true.d_offset + true.d_modulus)),
+        ("(i=2, m=3)", "odd landing residue below 54",
+         str(true.next_offset + 54)),
+    )
 
 
 def test_sigma_relation_small_range():
@@ -314,12 +344,10 @@ def test_range_flags_a_cache_entry_the_table_contradicts(monkeypatch):
         (27, "sigma 111 (= sigma(41) + 2)", "112"),)
 
 
-def test_range_flags_a_row_with_a_shifted_offset(monkeypatch):
-    # a row whose offset is one modulus too high puts its n = 0 member below
-    # the progression and reads every other member one index low, so the
-    # reconstruction and boundedness checks must both fire on that row alone
-    i, m = 1, 1
-    true = derive_profile(i, m)  # 36n + 19
+def _shift_a_row(monkeypatch, i, m):
+    """Replace row (i, m) with one whose offset is one modulus too high;
+    returns the true row and the row's members up to 2001."""
+    true = derive_profile(i, m)
     shifted = SimpleNamespace(class_index=i, m=m, d_modulus=true.d_modulus,
                               d_offset=true.d_offset + true.d_modulus)
 
@@ -327,17 +355,72 @@ def test_range_flags_a_row_with_a_shifted_offset(monkeypatch):
         return shifted if (ci, cm) == (i, m) else derive_profile(ci, cm)
 
     monkeypatch.setattr(verify_module, "derive_profile", patched)
-    report = verify_range(1, 2001)
-    members = range(true.d_offset, 2002, true.d_modulus)
-    expected = [(true.d_offset,
-                 f"exact reconstruction {true.d_modulus}n + {shifted.d_offset}",
-                 "remainder 0")]
+    return true, range(true.d_offset, 2002, true.d_modulus)
+
+
+def _shifted_row_counterexamples(i, m, true, members, first_check):
+    """The counterexamples a sweep over [1, 2001] owes a shifted row (i, m):
+    ``first_check`` for its n = 0 member, the boundedness check one index
+    low for every other member."""
+    expected = [(true.d_offset, *first_check)]
     expected += [(d, f"next odd strictly inside (54*{n - 1}, 54*{n})",
                   str((3 * d + 1) >> m))
                  for n, d in enumerate(members) if n]
+    return tuple(expected)
+
+
+def test_range_flags_a_row_with_a_shifted_offset(monkeypatch):
+    # a row whose offset is one modulus too high puts its n = 0 member below
+    # the progression and reads every other member one index low, so the
+    # reconstruction and boundedness checks must both fire on that row alone
+    i, m = 1, 1
+    true, members = _shift_a_row(monkeypatch, i, m)  # 36n + 19
+    report = verify_range(1, 2001)
     assert report.outcome == "fail"
-    assert report.counterexamples == tuple(expected)
+    assert report.counterexamples == _shifted_row_counterexamples(
+        i, m, true, members,
+        (f"exact reconstruction {true.d_modulus}n + "
+         f"{true.d_offset + true.d_modulus}", "remainder 0"))
     assert report.items_checked == 1001
+
+
+def test_range_flags_a_shifted_row_whose_members_fill_by_slices(monkeypatch):
+    # the m = 3 twin: the row's members lie in the progression 16k + 13,
+    # whose stopping times the sweep fills from table slices
+    i, m = 1, 3
+    true, members = _shift_a_row(monkeypatch, i, m)  # 144n + 109
+    report = verify_range(1, 2001)
+    assert report.outcome == "fail"
+    assert report.counterexamples == _shifted_row_counterexamples(
+        i, m, true, members,
+        (f"exact reconstruction {true.d_modulus}n + "
+         f"{true.d_offset + true.d_modulus}", "remainder 0"))
+    assert report.items_checked == 1001
+
+
+def test_conjecture1_flags_a_row_with_a_shifted_offset(monkeypatch):
+    # the row fails its proof, so its true members are checked one by one,
+    # each one index low; the n = 0 member reads index -1
+    i, m = 1, 1
+    true, members = _shift_a_row(monkeypatch, i, m)
+    report = verify_conjecture1(2001)
+    assert report.outcome == "fail"
+    assert report.counterexamples == _shifted_row_counterexamples(
+        i, m, true, members,
+        ("next odd strictly inside (54*-1, 54*0)",
+         str((3 * true.d_offset + 1) >> m)))
+    assert report.items_checked == 1001
+
+
+def test_range_flags_a_poisoned_entry_met_by_a_slice(monkeypatch):
+    # 13 is the first member of the m = 3 progression 16k + 13, which the
+    # sweep fills from its targets' entries; sigma(13) = sigma(5) + 4 = 9
+    def poison(first, table):
+        table[(13 - first) >> 1] = 10
+
+    _watch_stores(monkeypatch, poison)
+    report = verify_range(1, 101)
+    assert report.counterexamples == ((13, "sigma 9 (= sigma(5) + 4)", "10"),)
 
 
 def test_range_rejects_ranges_without_odd_members():
@@ -359,3 +442,80 @@ def test_range_memory_stays_dense():
     finally:
         tracemalloc.stop()
     assert peak < 2**20 // 4
+
+
+# ------------------------------------------------ differential: per-d sweep
+
+_MAKE_STORES = verify_module._stores
+
+
+def _stores_of(kind, seed=0):
+    """A store factory for both sweeps: ``cold`` (empty), ``warm`` (every
+    true stopping time of the range's lower half), or ``poisoned`` (half
+    warm, then wrong entries in the table, d = 1's included, and in the
+    below-start dict). Each call makes the same stores."""
+    def stores(first, end):
+        table, below = _MAKE_STORES(first, end)
+        if kind != "cold":
+            _oracle_fill((first + end) // 2 if kind == "warm" else first + end // 4)(
+                first, table)
+        if kind == "poisoned":
+            rng = random.Random(seed)
+            for k in rng.sample(range(len(table)), min(len(table), 30)):
+                table[k] = rng.randrange(1, 250)
+            table[0] = rng.randrange(1, 250)
+            for y in range(1, min(first, 300), 2):
+                if rng.random() < 0.2:
+                    below[y] = rng.randrange(1, 250)
+        return table, below
+    return stores
+
+
+def _mutated_rows(i, m, how):
+    """derive_profile with row (i, m) moved: its offset by +-modulus or
+    +modulus/2, or its modulus halved."""
+    true = derive_profile(i, m)
+    offset, modulus = true.d_offset, true.d_modulus
+    offset, modulus = {"+modulus": (offset + modulus, modulus),
+                       "-modulus": (offset - modulus, modulus),
+                       "+modulus/2": (offset + modulus // 2, modulus),
+                       "modulus/2": (offset, modulus // 2)}[how]
+    row = SimpleNamespace(class_index=i, m=m, d_offset=offset, d_modulus=modulus)
+    return lambda ci, cm: row if (ci, cm) == (i, m) else derive_profile(ci, cm)
+
+
+def _same_report_as_per_d_sweep(monkeypatch, start, end, class_filter, budget,
+                                stores, profile=derive_profile):
+    monkeypatch.setattr(verify_module, "_stores", stores)
+    monkeypatch.setattr(verify_module, "derive_profile", profile)
+    want = reference_range_sweep(start, end, class_filter, budget,
+                                 profile=profile, stores=stores)
+    got = verify_range(start, end, class_filter, budget)
+    assert report_to_json(got) == report_to_json(want)
+
+
+@pytest.mark.parametrize("kind", ["cold", "warm", "poisoned"])
+@pytest.mark.parametrize("budget", [60, 111, 10**7])
+@pytest.mark.parametrize("start", [1, 27, 2001])
+def test_range_reports_as_the_per_d_sweep(monkeypatch, start, budget, kind):
+    _same_report_as_per_d_sweep(monkeypatch, start, start + 6000, None, budget,
+                                _stores_of(kind, seed=start + budget))
+
+
+@pytest.mark.parametrize("class_filter", range(1, 10))
+def test_range_reports_as_the_per_d_sweep_for_one_class(monkeypatch, class_filter):
+    start, budget, kind = [(1, 10**7, "warm"), (27, 111, "poisoned"),
+                           (2001, 60, "cold")][class_filter % 3]
+    _same_report_as_per_d_sweep(monkeypatch, start, 12001, class_filter, budget,
+                                _stores_of(kind, seed=class_filter))
+
+
+@pytest.mark.parametrize("how", ["+modulus", "-modulus", "+modulus/2", "modulus/2"])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_range_reports_as_the_per_d_sweep_with_a_wrong_row(monkeypatch, m, how):
+    i = 1 + (4 * m) % 9
+    start, kind = [(1, "cold"), (27, "poisoned"), (2001, "warm")][m % 3]
+    class_filter = i if how == "modulus/2" and m % 2 else None
+    _same_report_as_per_d_sweep(monkeypatch, start, start + 4000, class_filter,
+                                [60, 111, 10**7][m % 3], _stores_of(kind, seed=m),
+                                _mutated_rows(i, m, how))
