@@ -9,9 +9,11 @@ and valuation at d = 18*2^m*n + offset with 54n < (3d+1)/2^m < 54(n+1), so
 only the members of a row that fails are checked one by one. The range
 sweep, which the recurrence audit runs through, keeps the stopping times it
 finds in a dense table of 4 bytes per odd value of its range, and those of
-values below its start in a dict of its own; it fills the stopping times of
-its m >= 2 members from slices of that table. Its report depends only on
-the range, the class and the budget.
+values below its start in a dict of its own. It fills the stopping times of
+most members from slices of that table: the residue of d mod 2^(e+1) fixes
+its first odd value below d, which steps by a fixed stride along the class
+(Terras 1976; Lagarias 1985), and only the rest are walked. Its report
+depends only on the range, the class and the budget.
 """
 
 from __future__ import annotations
@@ -34,6 +36,86 @@ _BELOW_MAX = 1 << 32
 #: The range sweep's blocks hold at most this many integers, which bounds the
 #: table slices it copies at a time.
 _BLOCK_MAX = 1 << 17
+
+#: The range sweep fills the d = 3 (mod 4) whose first descent is fixed by
+#: a progression of stride at most 2^_PATH_BITS (by d mod 2^_PATH_BITS, or
+#: by d mod 2^(_PATH_BITS - 4) within one class mod 18) from table slices,
+#: and walks the rest. Each bit more about doubles the paths and halves their
+#: members per block: on the full sweep to 1e6, 2^10 and 2^14 each took
+#: about 8% more time in-process than 2^12.
+_PATH_BITS = 12
+
+
+def _descent_paths(bits: int):
+    """The first descents of the odd d = 3 (mod 4), as far as d mod 2^bits
+    fixes them: ``(paths, scalar)``.
+
+    The residue of d mod 2^(e+1) fixes the odd-to-odd steps of d until e
+    halvings (Terras 1976). Each path (r, c, e, b, steps) is the class
+    d = r (mod 2^(e+1)) whose c-th odd value (3^c*d + b)/2^e is the first
+    with 3^c < 2^e, which is below d once d(2^e - 3^c) > b. ``steps`` holds
+    the odd values between, each (ci, bi, ei) for (3^ci*d + bi)/2^ei with
+    ci < c and 3^ci > 2^ei, so each lies above d. ``scalar`` holds the
+    classes (r, 2^k), k <= bits, of the d whose descent needs more than
+    bits - 1 halvings. The paths and the scalar classes partition the
+    d = 3 (mod 4)."""
+    paths = []
+
+    def descend(r, k, c, e, b, steps):
+        # d = r (mod 2^k) is at its c-th odd value (3^c*d + b)/2^e, above d;
+        # k > e, so that value's parity is fixed. Returns the scalar classes
+        # of the d = r (mod 2^k), whole when all of them are.
+        p = 3 ** c
+        while True:
+            x = 3 * (p * r + b) + (1 << e)  # 2^e * (3*value + 1) at d = r
+            v = (x & -x).bit_length() - 1
+            if v >= k:  # the next valuation depends on the bit of d at 2^k
+                if k == bits:
+                    return [(r, 1 << k)]
+                split = (descend(r, k + 1, c, e, b, steps)
+                         + descend(r | 1 << k, k + 1, c, e, b, steps))
+                whole = [(r, 2 << k), (r | 1 << k, 2 << k)]
+                return [(r, 1 << k)] if split == whole else split
+            steps += (c, b, e),
+            c, e, b, p = c + 1, v, 3 * b + (1 << e), 3 * p
+            if p < 1 << e:
+                paths.append((r, c, e, b, steps))
+                return []
+
+    scalar = descend(3, 2, 1, 1, 1, ())  # x1 = (3d+1)/2 is above d
+    return paths, scalar
+
+
+def _sweep_paths(end: int, class_filter: int | None):
+    """The range sweep's table of fill paths, and its scalar classes, for the
+    odd d <= end of ``class_filter`` (all classes for None).
+
+    A path is (residue, stride, e, 3^c, b, c + e, gap, steps): its members
+    d = residue (mod stride) take c odd steps and e halvings to their target
+    (3^c*d + b)/2^e, whose table index steps by gap as d steps by stride.
+    Each of ``steps`` is (3^ci, bi, ei, c + e - (ci + ei), index gap) of
+    the odd value (3^ci*d + bi)/2^ei on the way. The m >= 2 members come
+    first (c = 1, e = m), complete for d <= end, then the deeper descents of
+    ``_descent_paths``. A scalar class is (residue, stride). Under a class
+    filter, each residue is met with the class's by the CRT."""
+    def lift(residue, modulus):
+        if class_filter is None:
+            return residue, modulus
+        s = RESIDUE_ORDER[class_filter - 1]
+        return next(c for c in range(residue, 9 * modulus, modulus)
+                    if c % 18 == s), 9 * modulus
+
+    deep, scalar = _descent_paths(
+        _PATH_BITS if class_filter is None else _PATH_BITS - 4)  # 9 * 2^8 < 2^12
+    paths = []
+    for r, c, e, b, steps in chain(
+            ((((1 << m) - 1) * pow(3, -1, 2 << m) % (2 << m), 1, m, 1, ())
+             for m in range(2, (3 * end + 1).bit_length())), deep):
+        residue, stride = lift(r, 2 << e)
+        paths.append((residue, stride, e, 3 ** c, b, c + e, 3 ** c * stride >> e + 1,
+                      tuple((3 ** ci, bi, ei, c + e - ci - ei,
+                             3 ** ci * stride >> ei + 1) for ci, bi, ei in steps)))
+    return paths, [lift(r, modulus) for r, modulus in scalar]
 
 
 def _stores(first: int, end: int) -> tuple[array, dict[int, int]]:
@@ -314,24 +396,31 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     The recurrence pass keeps the stopping times in a dense table over
     [start, end], 4 bytes per odd integer, and those of the values below
     ``start`` in a dict, only below ``_BELOW_MAX`` (see ``_stores``). It
-    walks ascending blocks [L, U) with 3U <= 4L, so that every member with
-    m >= 2 of a block has its target (3d+1)/2^m below L. The members of one
-    such progression, d = c (mod 2^(m+1)), take sigma(target) + m + 1 from
-    one slice of the table: targets step by 6 as d steps by 2^(m+1). The
-    m = 1 members, and a progression whose slice holds a target below the
-    start, an unknown one (sigma(1) = 0 is never stored), a value over
-    budget or an entry that contradicts it, take the scalar step: read
-    sigma(target) from the table, and only when it is unknown walk
-    odd-to-odd from target until 1 or a known entry of either store, then
-    store the walk's values that either store admits.
+    walks ascending blocks [L, U) with 3U <= 4L. The members of one fill
+    path (``_sweep_paths``), d = r (mod 2^(e+1)), reach their first odd
+    value below d, the target (3^c*d + b)/2^e, in c odd steps and e
+    halvings, and the targets step by a fixed stride as d steps along the
+    path; the m >= 2 members are the paths with c = 1. The members of a
+    path in a block whose targets lie in [max(start, 3), L), where the
+    sweep has passed, take sigma(target) + c + e from one slice of the
+    table, when every target is known and within budget, each member's own
+    entry is unknown or the value filled in, and each odd value on the way
+    that lies in the range holds nothing or what the walk through the
+    target gives it. That last test is there because the walk from d stops
+    at the first known entry it meets, and reports from it. Every other
+    member takes the scalar step: read sigma(target) for its first odd
+    step, target = (3d+1)/2^m, from the table, and only when it is unknown
+    walk odd-to-odd from target until 1 or a known entry of either store,
+    then store the walk's values that either store admits.
 
     sigma(d) is its table entry, or sigma(target) + m + 1 when it has none.
     The recurrence comparison therefore only bites on entries that an
     earlier walk stored: it checks that one table is consistent, and is not
     an independent audit of the stopping times. Every entry the sweep
-    stores is what the walk from its value gives, so the report does not
-    depend on the order in which members are handled (nor on a slice
-    storing a skipped member's entry); counterexamples and deferrals are
+    stores is what the walk from its value gives (1's entry, which no walk
+    reads, is never stored), so the report does not depend on the order in
+    which members are handled, nor on a fill storing a skipped member's
+    entry but not the values on the way; counterexamples and deferrals are
     listed by d.
 
     An odd integer is deferred when its stopping time exceeds ``budget``.
@@ -369,43 +458,52 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
                     d, f"next odd strictly inside (54*{n}, 54*{n + 1})",
                     str((3 * d + 1) >> m)))
 
-    # (m, residue, stride) of each progression of members with v(3d+1) = m
-    progressions = []
-    for m in range(1, (3 * end + 1).bit_length()):
-        stride = 2 << m
-        residue = ((1 << m) - 1) * pow(3, -1, stride) % stride
-        if class_filter is not None:
-            residue = next(c for c in range(residue, 9 * stride, stride)
-                           if c % 18 == RESIDUE_ORDER[class_filter - 1])
-            stride *= 9
-        progressions.append((m, residue, stride))
+    paths, scalar_classes = _sweep_paths(end, class_filter)
     table, below = _stores(first, end)
     below_get = below.get
     below_max = min(first, _BELOW_MAX)
+    # a fill reads no target below the start, nor 1, where walks end
+    # without reading its entry
+    known_min = max(first, 3)
     deferred: list[Deferred] = []
     low = lo
     while low <= end:
         high = min(end + 1, max(4 * low // 3, low + 2), low + _BLOCK_MAX)
-        scalar = []
-        for m, residue, stride in progressions:
+        scalar = [range(low + (r - low) % s, high, s) for r, s in scalar_classes]
+        for residue, stride, e, p, b, steps, gap, inner in paths:
             members = range(low + (residue - low) % stride, high, stride)
             if not members:
                 continue
-            target = (3 * members[0] + 1) >> m
-            if m > 1 and target >= first:
-                n = len(members)
-                k, gap = (target - first) >> 1, 3 * stride >> (m + 1)
+            d = members[0]
+            # members j to j + n - 1 have targets from known_min on and below
+            # the block, where the sweep has passed
+            j = max(0, -((p * d + b - (known_min << e)) // (p * stride)))
+            n = min(len(members), (((low << e) - b - 1) // p - d) // stride + 1) - j
+            if n > 0:
+                d = members[j]
+                k = (((p * d + b) >> e) - first) >> 1
                 targets = table[k:k + gap * n:gap]
-                if 0 not in targets and max(targets) <= budget - m - 1:
-                    sigmas = array("I", map((m + 1).__add__, targets))
-                    k, gap = (members[0] - first) >> 1, stride >> 1
-                    cut = slice(k, k + gap * n, gap)
-                    stored = table[cut]
-                    # each stored entry is unknown (0) or the one filled in
-                    if not any(map(mul, stored, map(sub, sigmas, stored))):
-                        table[cut] = sigmas
-                        continue
-            scalar.append(members)
+                if 0 not in targets and max(targets) <= budget - steps:
+                    # each in-range odd value on the way is unknown (0) or
+                    # holds what the walk from it through the target gives
+                    for pi, bi, ei, delta, gi in inner:
+                        k = ((pi * d + bi) >> ei) - first >> 1
+                        seen = table[k:k + gi * n:gi]
+                        expected = map(delta.__add__, targets)
+                        if any(map(mul, seen, map(sub, expected, seen))):
+                            break
+                    else:
+                        sigmas = array("I", map(steps.__add__, targets))
+                        k = (d - first) >> 1
+                        cut = slice(k, k + (stride >> 1) * n, stride >> 1)
+                        stored = table[cut]
+                        # each stored entry is unknown (0) or the one filled in
+                        if not any(map(mul, stored, map(sub, sigmas, stored))):
+                            table[cut] = sigmas
+                            scalar.append(members[:j])
+                            members = members[j + n:]
+            if members:
+                scalar.append(members)
         todo = chain.from_iterable(scalar)
         if skip:
             todo = [d for d in todo if d not in skip]

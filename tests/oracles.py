@@ -39,6 +39,19 @@ def unit_step_sigma_memo(n: int, memo: dict[int, int]) -> int:
     return memo[path[0]] if path else steps
 
 
+def unit_step_odd_descent(d: int) -> list[tuple[int, int]]:
+    """The odd values the unit-step walk from odd d > 1 meets, up to the
+    first below d, each with its unit steps from d."""
+    assert d > 1 and d & 1
+    odds, n, steps = [], d, 0
+    while not odds or odds[-1][0] >= d:
+        n = 3 * n + 1 if n & 1 else n >> 1
+        steps += 1
+        if n & 1:
+            odds.append((n, steps))
+    return odds
+
+
 def valuation_by_division(x: int) -> tuple[int, int]:
     """(m, odd_part) of even x > 0, counting factors of 2 one at a time."""
     assert x > 0 and x % 2 == 0

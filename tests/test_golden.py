@@ -37,6 +37,13 @@ CASES = {
     "verify-range-below-start": ["verify", "range", "--start", "1000000000001",
                                  "--end", "1000000002001"],
     "verify-range-deferred": ["verify", "range", "--end", "3001", "--budget", "40"],
+    # the sweep's budget checks, on its slice fills and on its walks, decide
+    # which of these are deferred: 190 and 131 of them
+    "verify-range-budget300": ["verify", "range", "--start", "100001",
+                               "--end", "200001", "--budget", "300"],
+    "verify-range-class3-budget250": ["verify", "range", "--start", "100001",
+                                      "--end", "200001", "--class", "3",
+                                      "--budget", "250"],
     "verify-sigma-relation": ["verify", "sigma-relation", "--bound", "20001"],
     "verify-sigma-relation-deferred": ["verify", "sigma-relation", "--bound", "101",
                                        "--budget", "5"],

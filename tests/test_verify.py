@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -8,7 +9,9 @@ import collatz_cover.verify as verify_module
 from collatz_cover import (derive_profile, report_to_json, residue_class,
                            verify_conjecture1, verify_cyclic, verify_range,
                            verify_sigma_relation, verify_theorem1_symbolic)
-from oracles import reference_range_sweep, unit_step_sigma_memo
+from collatz_cover.covering import RESIDUE_ORDER
+from oracles import (reference_range_sweep, unit_step_odd_descent,
+                     unit_step_sigma_memo)
 
 
 def _oracle_deferred(first, end, budget):
@@ -423,6 +426,41 @@ def test_range_flags_a_poisoned_entry_met_by_a_slice(monkeypatch):
     assert report.counterexamples == ((13, "sigma 9 (= sigma(5) + 4)", "10"),)
 
 
+def test_range_flags_a_poisoned_value_on_a_descent(monkeypatch):
+    # 10003 -> 15005 -> 5627 is the first descent of 10003, on the c = 2 path
+    # mod 32, whose members the sweep fills from their targets' entries. The
+    # walk from 10003 stops at 15005's entry, so the fill must not pass it
+    paths, _ = verify_module._sweep_paths(20001, None)
+    ((_, _, e, p, b, steps, _, inner),) = [x for x in paths if x[:2] == (10003 % 32, 32)]
+    ((pi, bi, ei, _, _),) = inner
+    assert (p * 10003 + b) >> e == 5627 and (pi * 10003 + bi) >> ei == 15005
+    assert steps == 6
+
+    def poison(first, table):
+        table[(15005 - first) >> 1] = 7
+        table[(10003 - first) >> 1] = 65  # its true stopping time
+
+    _watch_stores(monkeypatch, poison)
+    report = verify_range(1, 20001)
+    assert report.counterexamples == (
+        (10003, "sigma 9 (= sigma(15005) + 2)", "65"),
+        (15005, "sigma 63 (= sigma(5627) + 4)", "7"))
+
+
+def test_range_fills_no_descent_from_the_entry_of_1(monkeypatch):
+    # 3 -> 5 -> 1 is the first descent of 3, on the c = 2 path mod 64. A walk
+    # ends at 1 without reading its table slot, so a wrong entry there must
+    # not reach sigma(3) = 7; a first odd step to 1 (d = 5) does read it
+    def poison(first, table):
+        table[0] = 50
+
+    runs = _watch_stores(monkeypatch, poison)
+    assert verify_range(1, 11).counterexamples == (
+        (5, "sigma 55 (= sigma(1) + 5)", "5"),)
+    ((_, table, _),) = runs
+    assert table[1] == 7
+
+
 def test_range_rejects_ranges_without_odd_members():
     with pytest.raises(ValueError, match="no odd integers in"):
         verify_range(2, 2)
@@ -519,3 +557,48 @@ def test_range_reports_as_the_per_d_sweep_with_a_wrong_row(monkeypatch, m, how):
     _same_report_as_per_d_sweep(monkeypatch, start, start + 4000, class_filter,
                                 [60, 111, 10**7][m % 3], _stores_of(kind, seed=m),
                                 _mutated_rows(i, m, how))
+
+
+@pytest.mark.parametrize("kind", ["cold", "poisoned"])
+def test_range_reports_as_the_per_d_sweep_where_deep_paths_fill(monkeypatch, kind):
+    # the deepest paths step by 2^12, and have members in every block here
+    _same_report_as_per_d_sweep(monkeypatch, 1, 2 * 10**5, None, 10**7,
+                                _stores_of(kind, seed=12))
+
+
+# ------------------------------------------------ the sweep's fill paths
+
+@pytest.mark.parametrize("class_filter", [None, 4, 9])
+def test_every_odd_value_lies_in_one_fill_path_or_scalar_class(class_filter):
+    end = 2**17
+    paths, scalar = verify_module._sweep_paths(end, class_filter)
+    hits = array("I", [0]) * (end // 2)
+    for residue, stride in [x[:2] for x in paths] + scalar:
+        for d in range(residue, end, stride):
+            hits[d >> 1] += 1
+    assert list(hits) == [
+        int(class_filter in (None, RESIDUE_ORDER.index(d % 18) + 1))
+        for d in range(1, end, 2)]
+
+
+@pytest.mark.parametrize("class_filter", [None, 4])
+def test_fill_paths_follow_the_unit_step_walk(class_filter):
+    # each path's target is the first odd value below d, c + e unit steps
+    # on, and the odd values between lie above d, as the unit steps find
+    limit = 2 ** (verify_module._PATH_BITS + 2)
+    paths, _ = verify_module._sweep_paths(limit, class_filter)
+    checked = 0
+    for residue, stride, e, p, b, steps, gap, inner in paths:
+        assert p * stride >> e == 2 * gap
+        for d in range(residue, limit, stride):
+            target = (p * d + b) >> e
+            if target >= d:
+                continue
+            odds = [((pi * d + bi) >> ei, steps - delta)
+                    for pi, bi, ei, delta, gi in inner]
+            assert odds + [(target, steps)] == unit_step_odd_descent(d), d
+            assert all(x > d for x, _ in odds)
+            checked += 1
+        for pi, bi, ei, delta, gi in inner:
+            assert pi * stride >> ei == 2 * gi
+    assert checked > limit // (27 if class_filter else 3)
