@@ -9,11 +9,13 @@ and valuation at d = 18*2^m*n + offset with 54n < (3d+1)/2^m < 54(n+1), so
 only the members of a row that fails are checked one by one. The range
 sweep, which the recurrence audit runs through, keeps the stopping times it
 finds in a dense table of 4 bytes per odd value of its range, and those of
-values below its start in a dict of its own. It fills the stopping times of
-most members from slices of that table: the residue of d mod 2^(e+1) fixes
-its first odd value below d, which steps by a fixed stride along the class
-(Terras 1976; Lagarias 1985), and only the rest are walked. Its report
-depends only on the range, the class and the budget.
+values below its start in a dict of its own. One table of first-descent
+paths (``_sweep_paths``) splits the odd d by their residue mod 2^(e+1),
+which fixes the first odd value below d (Terras 1976; Lagarias 1985); as d
+steps along a path, that value steps by a fixed stride, so most members
+take their stopping times from slices of the table. Every other member
+takes one walk from its first odd value. Neither reads the entry of 1, and
+the report depends only on the range, the class and the budget.
 """
 
 from __future__ import annotations
@@ -37,34 +39,46 @@ _BELOW_MAX = 1 << 32
 #: table slices it copies at a time.
 _BLOCK_MAX = 1 << 17
 
-#: The range sweep fills the d = 3 (mod 4) whose first descent is fixed by
-#: a progression of stride at most 2^_PATH_BITS (by d mod 2^_PATH_BITS, or
-#: by d mod 2^(_PATH_BITS - 4) within one class mod 18) from table slices,
-#: and walks the rest. Each bit more about doubles the paths and halves their
+#: The range sweep fills the odd d whose first descent is fixed by a
+#: progression of stride at most 2^_PATH_BITS (by d mod 2^_PATH_BITS, or by
+#: d mod 2^(_PATH_BITS - 4) within one class mod 18) from table slices, and
+#: walks the rest. Each bit more about doubles the paths and halves their
 #: members per block: on the full sweep to 1e6, 2^10 and 2^14 each took
 #: about 8% more time in-process than 2^12.
 _PATH_BITS = 12
 
 
-def _descent_paths(bits: int):
-    """The first descents of the odd d = 3 (mod 4), as far as d mod 2^bits
-    fixes them: ``(paths, scalar)``.
+def _sweep_paths(class_filter: int | None):
+    """The range sweep's one path table, ``(paths, scalar)``: a partition of
+    the odd d of ``class_filter`` (all classes for None).
 
     The residue of d mod 2^(e+1) fixes the odd-to-odd steps of d until e
-    halvings (Terras 1976). Each path (r, c, e, b, steps) is the class
-    d = r (mod 2^(e+1)) whose c-th odd value (3^c*d + b)/2^e is the first
-    with 3^c < 2^e, which is below d once d(2^e - 3^c) > b. ``steps`` holds
-    the odd values between, each (ci, bi, ei) for (3^ci*d + bi)/2^ei with
-    ci < c and 3^ci > 2^ei, so each lies above d. ``scalar`` holds the
-    classes (r, 2^k), k <= bits, of the d whose descent needs more than
-    bits - 1 halvings. The paths and the scalar classes partition the
-    d = 3 (mod 4)."""
+    halvings (Terras 1976). One descent from d itself (c = 0) splits the odd
+    d by that residue, up to d mod 2^bits. A path is the class
+    d = r (mod 2^(e+1)) whose c-th odd value, the target (3^c*d + b)/2^e, is
+    the first with 3^c < 2^e, which is below d once d(2^e - 3^c) > b; the
+    paths with c = 1 hold the d with v(3d+1) = e >= 2. It is kept as
+    (residue, stride, e, 3^c, b, c + e, gap, steps): the target's table
+    index steps by gap as d steps by stride, and each of ``steps`` is
+    (3^ci, bi, ei, c + e - (ci + ei), its gap) for an odd value
+    (3^ci*d + bi)/2^ei on the way, 0 < ci < c, which lies above d as
+    3^ci > 2^ei. A scalar class (residue, stride) holds the d whose descent
+    needs bits or more halvings. Under a class filter, each residue is met
+    with the class's by the CRT."""
+    bits = _PATH_BITS if class_filter is None else _PATH_BITS - 4  # 9 * 2^8 < 2^12
     paths = []
 
+    def lift(residue, modulus):
+        if class_filter is None:
+            return residue, modulus
+        s = RESIDUE_ORDER[class_filter - 1]
+        return next(c for c in range(residue, 9 * modulus, modulus)
+                    if c % 18 == s), 9 * modulus
+
     def descend(r, k, c, e, b, steps):
-        # d = r (mod 2^k) is at its c-th odd value (3^c*d + b)/2^e, above d;
-        # k > e, so that value's parity is fixed. Returns the scalar classes
-        # of the d = r (mod 2^k), whole when all of them are.
+        # d = r (mod 2^k) is at its c-th odd value (3^c*d + b)/2^e, d itself
+        # or above d; k > e, so that value's parity is fixed. Returns the
+        # scalar classes of the d = r (mod 2^k), whole when all of them are.
         p = 3 ** c
         while True:
             x = 3 * (p * r + b) + (1 << e)  # 2^e * (3*value + 1) at d = r
@@ -76,54 +90,27 @@ def _descent_paths(bits: int):
                          + descend(r | 1 << k, k + 1, c, e, b, steps))
                 whole = [(r, 2 << k), (r | 1 << k, 2 << k)]
                 return [(r, 1 << k)] if split == whole else split
-            steps += (c, b, e),
             c, e, b, p = c + 1, v, 3 * b + (1 << e), 3 * p
             if p < 1 << e:
-                paths.append((r, c, e, b, steps))
+                residue, stride = lift(r, 2 << e)
+                paths.append((residue, stride, e, p, b, c + e, p * stride >> e + 1,
+                              tuple((3 ** ci, bi, ei, c + e - ci - ei,
+                                     3 ** ci * stride >> ei + 1)
+                                    for ci, bi, ei in steps)))
                 return []
+            steps += (c, b, e),
 
-    scalar = descend(3, 2, 1, 1, 1, ())  # x1 = (3d+1)/2 is above d
-    return paths, scalar
-
-
-def _sweep_paths(end: int, class_filter: int | None):
-    """The range sweep's table of fill paths, and its scalar classes, for the
-    odd d <= end of ``class_filter`` (all classes for None).
-
-    A path is (residue, stride, e, 3^c, b, c + e, gap, steps): its members
-    d = residue (mod stride) take c odd steps and e halvings to their target
-    (3^c*d + b)/2^e, whose table index steps by gap as d steps by stride.
-    Each of ``steps`` is (3^ci, bi, ei, c + e - (ci + ei), index gap) of
-    the odd value (3^ci*d + bi)/2^ei on the way. The m >= 2 members come
-    first (c = 1, e = m), complete for d <= end, then the deeper descents of
-    ``_descent_paths``. A scalar class is (residue, stride). Under a class
-    filter, each residue is met with the class's by the CRT."""
-    def lift(residue, modulus):
-        if class_filter is None:
-            return residue, modulus
-        s = RESIDUE_ORDER[class_filter - 1]
-        return next(c for c in range(residue, 9 * modulus, modulus)
-                    if c % 18 == s), 9 * modulus
-
-    deep, scalar = _descent_paths(
-        _PATH_BITS if class_filter is None else _PATH_BITS - 4)  # 9 * 2^8 < 2^12
-    paths = []
-    for r, c, e, b, steps in chain(
-            ((((1 << m) - 1) * pow(3, -1, 2 << m) % (2 << m), 1, m, 1, ())
-             for m in range(2, (3 * end + 1).bit_length())), deep):
-        residue, stride = lift(r, 2 << e)
-        paths.append((residue, stride, e, 3 ** c, b, c + e, 3 ** c * stride >> e + 1,
-                      tuple((3 ** ci, bi, ei, c + e - ci - ei,
-                             3 ** ci * stride >> ei + 1) for ci, bi, ei in steps)))
+    scalar = descend(1, 1, 0, 0, 0, ())
     return paths, [lift(r, modulus) for r, modulus in scalar]
 
 
 def _stores(first: int, end: int) -> tuple[array, dict[int, int]]:
     """A range sweep's two stopping-time stores, for odd first >= 1, both
     empty. The dense table covers the odd values of [first, end]:
-    ``table[(y - first) >> 1]`` holds sigma(y), 0 while unknown (sigma(1) = 0
-    is never stored: 1 ends every walk). The dict maps odd values below
-    ``min(first, _BELOW_MAX)`` to their stopping times."""
+    ``table[(y - first) >> 1]`` holds sigma(y), 0 while unknown. The entry
+    of 1 is never stored or read: sigma(1) = 0, and 1 ends every walk. The
+    dict maps odd values below ``min(first, _BELOW_MAX)`` to their stopping
+    times."""
     return array("I", [0]) * ((end - first) // 2 + 1), {}
 
 
@@ -396,30 +383,28 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     The recurrence pass keeps the stopping times in a dense table over
     [start, end], 4 bytes per odd integer, and those of the values below
     ``start`` in a dict, only below ``_BELOW_MAX`` (see ``_stores``). It
-    walks ascending blocks [L, U) with 3U <= 4L. The members of one fill
-    path (``_sweep_paths``), d = r (mod 2^(e+1)), reach their first odd
-    value below d, the target (3^c*d + b)/2^e, in c odd steps and e
-    halvings, and the targets step by a fixed stride as d steps along the
-    path; the m >= 2 members are the paths with c = 1. The members of a
-    path in a block whose targets lie in [max(start, 3), L), where the
+    walks ascending blocks [L, U) with 3U <= 4L. The members of one path of
+    ``_sweep_paths``, d = r (mod 2^(e+1)), reach their first odd value below
+    d, the target (3^c*d + b)/2^e, in c odd steps and e halvings, and the
+    targets step by a fixed stride as d steps along the path. The members
+    of a path in a block whose targets lie in [max(start, 3), L), where the
     sweep has passed, take sigma(target) + c + e from one slice of the
     table, when every target is known and within budget, each member's own
     entry is unknown or the value filled in, and each odd value on the way
     that lies in the range holds nothing or what the walk through the
     target gives it. That last test is there because the walk from d stops
     at the first known entry it meets, and reports from it. Every other
-    member takes the scalar step: read sigma(target) for its first odd
-    step, target = (3d+1)/2^m, from the table, and only when it is unknown
-    walk odd-to-odd from target until 1 or a known entry of either store,
-    then store the walk's values that either store admits.
+    member walks odd-to-odd from its first odd value, target = (3d+1)/2^m,
+    until 1 or a known entry of either store, then stores the walk's values
+    that either store admits.
 
     sigma(d) is its table entry, or sigma(target) + m + 1 when it has none.
     The recurrence comparison therefore only bites on entries that an
     earlier walk stored: it checks that one table is consistent, and is not
     an independent audit of the stopping times. Every entry the sweep
-    stores is what the walk from its value gives (1's entry, which no walk
-    reads, is never stored), so the report does not depend on the order in
-    which members are handled, nor on a fill storing a skipped member's
+    stores is what the walk from its value gives, and neither a fill nor a
+    walk reads the entry of 1, so the report does not depend on the order
+    in which members are handled, nor on a fill storing a skipped member's
     entry but not the values on the way; counterexamples and deferrals are
     listed by d.
 
@@ -458,7 +443,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
                     d, f"next odd strictly inside (54*{n}, 54*{n + 1})",
                     str((3 * d + 1) >> m)))
 
-    paths, scalar_classes = _sweep_paths(end, class_filter)
+    paths, scalar_classes = _sweep_paths(class_filter)
     table, below = _stores(first, end)
     below_get = below.get
     below_max = min(first, _BELOW_MAX)
@@ -515,45 +500,42 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
                 continue
             index = (d - first) >> 1
             sigma_d = table[index]
-            # steps becomes sigma(target) + m + 1: one table read, or a walk
-            # from target; steps counts the unit steps from d to x
+            # steps becomes sigma(target) + m + 1: a walk odd-to-odd from
+            # target until 1 or a known entry; steps counts the unit steps
+            # from d to x
             steps = m + 1
             x = target
-            known = table[(x - first) >> 1] if first <= x <= end else 0
-            if known:
-                steps += known
-            elif x != 1:
-                path = []  # (index, unit steps from d) per value to store
-                # (value, unit steps from d) below the start; made on first
-                # use, since an empty list per walk slows the full sweep
-                below_path = None
-                while x != 1 and steps <= budget:
-                    if x <= end:
-                        if x >= first:
-                            k = (x - first) >> 1
-                            known = table[k]
-                            if known:
-                                steps += known
-                                break
-                            path.append((k, steps))
-                        elif x < below_max:
-                            known = below_get(x)
-                            if known is not None:
-                                steps += known
-                                break
-                            if below_path is None:
-                                below_path = []
-                            below_path.append((x, steps))
-                    x = 3 * x + 1
-                    s = (x & -x).bit_length() - 1
-                    x >>= s
-                    steps += s + 1
-                if steps <= budget:
-                    for k, consumed in path:
-                        table[k] = steps - consumed
-                    if below_path is not None:
-                        for y, consumed in below_path:
-                            below[y] = steps - consumed
+            path = []  # (index, unit steps from d) per value to store
+            # (value, unit steps from d) below the start; made on first use,
+            # since an empty list per walk slows the full sweep
+            below_path = None
+            while x != 1 and steps <= budget:
+                if x <= end:
+                    if x >= first:
+                        k = (x - first) >> 1
+                        known = table[k]
+                        if known:
+                            steps += known
+                            break
+                        path.append((k, steps))
+                    elif x < below_max:
+                        known = below_get(x)
+                        if known is not None:
+                            steps += known
+                            break
+                        if below_path is None:
+                            below_path = []
+                        below_path.append((x, steps))
+                x = 3 * x + 1
+                s = (x & -x).bit_length() - 1
+                x >>= s
+                steps += s + 1
+            if steps <= budget:
+                for k, consumed in path:
+                    table[k] = steps - consumed
+                if below_path is not None:
+                    for y, consumed in below_path:
+                        below[y] = steps - consumed
             if steps > budget:
                 deferred.append(Deferred(d, str(BudgetExceededError(d, budget))))
             elif not sigma_d:

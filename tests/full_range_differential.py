@@ -26,7 +26,12 @@ from oracles import reference_range_sweep  # noqa: E402
 # (start, end, class_filter, budget)
 SHAPES = [
     (1, 10**6, None, 10**7),
+    # the sweep of `verify sigma-relation --bound 1000000`, which starts
+    # above 1
+    (3, 10**6, None, 10**7),
     (1, 10**6, 9, 10**7),
+    # a class whose lift of the path residues differs from class 9's
+    (1, 10**6, 4, 10**7),
     (500001, 10**6, None, 10**7),
     (2**33 + 1, 2**33 + 20001, None, 10**7),
     (100001, 200001, None, 300),

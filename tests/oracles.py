@@ -109,35 +109,31 @@ def reference_range_sweep(start: int, end: int, class_filter=None,
         sigma_d = table[index]
         steps = m + 1
         x = target
-        known = table[(x - first) >> 1] if first <= x <= end else 0
-        if known:
-            steps += known
-        elif x != 1:
-            path, below_path = [], []
-            while x != 1 and steps <= budget:
-                if x <= end:
-                    if x >= first:
-                        k = (x - first) >> 1
-                        known = table[k]
-                        if known:
-                            steps += known
-                            break
-                        path.append((k, steps))
-                    elif x < below_max:
-                        known = below.get(x)
-                        if known is not None:
-                            steps += known
-                            break
-                        below_path.append((x, steps))
-                x = 3 * x + 1
-                s = (x & -x).bit_length() - 1
-                x >>= s
-                steps += s + 1
-            if steps <= budget:
-                for k, consumed in path:
-                    table[k] = steps - consumed
-                for y, consumed in below_path:
-                    below[y] = steps - consumed
+        path, below_path = [], []
+        while x != 1 and steps <= budget:
+            if x <= end:
+                if x >= first:
+                    k = (x - first) >> 1
+                    known = table[k]
+                    if known:
+                        steps += known
+                        break
+                    path.append((k, steps))
+                elif x < below_max:
+                    known = below.get(x)
+                    if known is not None:
+                        steps += known
+                        break
+                    below_path.append((x, steps))
+            x = 3 * x + 1
+            s = (x & -x).bit_length() - 1
+            x >>= s
+            steps += s + 1
+        if steps <= budget:
+            for k, consumed in path:
+                table[k] = steps - consumed
+            for y, consumed in below_path:
+                below[y] = steps - consumed
         if steps > budget:
             deferred.append(Deferred(d, str(BudgetExceededError(d, budget))))
         elif not sigma_d:

@@ -5,10 +5,11 @@ A row gives a module, an exact source fragment, its replacement, and the
 catching call. The test asserts that the fragment occurs exactly once,
 compiles the patched source into a fresh module, and runs the call on it:
 the call must catch the mutant, and must not catch the unpatched module,
-so that no row passes on a check that cannot fail. A catching call either
-compares the sweep's report with the per-d reference sweep in
-``oracles.py``, or compares the stopping times the sweep stored with the
-unit-step walk's. The rows so far cover the range sweep.
+so that no row passes on a check that cannot fail. The range sweep's rows
+compare its report with the per-d reference sweep in ``oracles.py``, or the
+stopping times it stored with the unit-step walk's. The rows outside the
+sweep compare ``sigma_infinity`` with the unit-step walk and
+``digit_root_class`` with ``residue_class``, and run the cover audit.
 """
 
 from pathlib import Path
@@ -17,8 +18,8 @@ from types import ModuleType
 import pytest
 
 import collatz_cover
-from collatz_cover import derive_profile, report_to_json
-from oracles import reference_range_sweep, unit_step_sigma_memo
+from collatz_cover import derive_profile, report_to_json, residue_class
+from oracles import reference_range_sweep, unit_step_sigma, unit_step_sigma_memo
 
 SOURCE_DIR = Path(collatz_cover.__file__).parent
 
@@ -47,11 +48,14 @@ def report_differs(start, end, budget=10**7, poison=None):
     return caught
 
 
-def stored_sigma_differs(start, end):
+def stored_sigma_differs(start, end, poison=None):
     """Catches a mutant whose sweep stores a stopping time other than the
-    unit-step walk's."""
+    unit-step walk's, on cold stores but for ``poison``, whose slots are
+    left out of the comparison."""
+    poison = poison or {}
+
     def caught(module):
-        make, tables = module._stores, []
+        make, tables = _poisoned(module._stores, poison), []
 
         def stores(first, last):
             table, below = make(first, last)
@@ -62,9 +66,32 @@ def stored_sigma_differs(start, end):
         module.verify_range(start, end)
         ((first, table),) = tables
         memo = {}
-        return any(entry != unit_step_sigma_memo(first + 2 * k, memo)
-                   for k, entry in enumerate(table) if entry)
+        return any(entry != unit_step_sigma_memo(y, memo)
+                   for y, entry in zip(range(first, end + 1, 2), table)
+                   if entry and y not in poison)
     return caught
+
+
+def sigma_differs(module):
+    """Catches an ``arith`` mutant whose sigma_infinity differs from the
+    unit-step walk on 1..199, even inputs included."""
+    return any(module.sigma_infinity(n) != unit_step_sigma(n) for n in range(1, 200))
+
+
+def digit_root_class_differs(module):
+    """Catches a ``covering`` mutant whose digit_root_class differs from
+    residue_class on an odd d below 2000, or fails on one."""
+    try:
+        return any(module.digit_root_class(d) != residue_class(d)
+                   for d in range(1, 2000, 2))
+    except KeyError:
+        return True
+
+
+def cover_audit_fails(module):
+    """Catches a ``verify`` mutant under which the exactly-once cover of
+    the odd d <= 2001 by the rows m <= 18 no longer passes."""
+    return module.cover_audit(2001, 18).outcome != "pass"
 
 
 ROWS = [
@@ -75,9 +102,9 @@ ROWS = [
      "table[k] = steps - consumed + 1\n",
      report_differs(1, 2001), "walk stores one step too many"),
     # at depth 1, c + e = m + 1, so this is the fill adding m for m + 1
-    ("verify", "b, c + e, 3 ** c", "b, e, 3 ** c",
+    ("verify", "b, c + e, p * stride", "b, e, p * stride",
      stored_sigma_differs(1, 2001), "fill adds e in place of c + e"),
-    ("verify", "b, c + e, 3 ** c", "b, c + e - 1, 3 ** c",
+    ("verify", "b, c + e, p * stride", "b, c + e - 1, p * stride",
      stored_sigma_differs(1, 2001), "fill adds c + e - 1"),
     ("verify", "if not any(map(mul, stored, map(sub, sigmas, stored))):",
      "if True:",
@@ -85,8 +112,17 @@ ROWS = [
     ("verify", "if any(map(mul, seen, map(sub, expected, seen))):", "if False:",
      report_differs(1, 20001, poison={15005: 7, 10003: 65}),
      "fill passes a stored value on the way"),
+    # neither sweep reads the entry of 1, so only the stored entries differ
     ("verify", "known_min = max(first, 3)", "known_min = first",
-     report_differs(1, 11, poison={1: 50}), "fill reads the entry of 1"),
+     stored_sigma_differs(1, 11, poison={1: 50}), "fill reads the entry of 1"),
+    ("arith", "steps, cur = two_adic_valuation(cur)",
+     "cur = two_adic_valuation(cur)[1]",
+     sigma_differs, "sigma drops the halvings of an even input"),
+    ("covering", "residue = root if root & 1 else root + 9",
+     "residue = root + 9 if root & 1 else root",
+     digit_root_class_differs, "digit root takes the even lift"),
+    ("verify", "p.d_modulus // 2", "p.d_modulus // 2 + 1",
+     cover_audit_fails, "cover counts by a wrong stride"),
 ]
 
 

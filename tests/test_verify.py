@@ -430,7 +430,7 @@ def test_range_flags_a_poisoned_value_on_a_descent(monkeypatch):
     # 10003 -> 15005 -> 5627 is the first descent of 10003, on the c = 2 path
     # mod 32, whose members the sweep fills from their targets' entries. The
     # walk from 10003 stops at 15005's entry, so the fill must not pass it
-    paths, _ = verify_module._sweep_paths(20001, None)
+    paths, _ = verify_module._sweep_paths(None)
     ((_, _, e, p, b, steps, _, inner),) = [x for x in paths if x[:2] == (10003 % 32, 32)]
     ((pi, bi, ei, _, _),) = inner
     assert (p * 10003 + b) >> e == 5627 and (pi * 10003 + bi) >> ei == 15005
@@ -448,17 +448,34 @@ def test_range_flags_a_poisoned_value_on_a_descent(monkeypatch):
 
 
 def test_range_fills_no_descent_from_the_entry_of_1(monkeypatch):
-    # 3 -> 5 -> 1 is the first descent of 3, on the c = 2 path mod 64. A walk
-    # ends at 1 without reading its table slot, so a wrong entry there must
-    # not reach sigma(3) = 7; a first odd step to 1 (d = 5) does read it
+    # 3 -> 5 -> 1 is the first descent of 3, on the c = 2 path mod 64, and
+    # the first odd step of 5 lands on 1. Every walk ends at 1 without
+    # reading its table slot, so a wrong entry there must not reach
+    # sigma(3) = 7 nor sigma(5) = 5
     def poison(first, table):
         table[0] = 50
 
     runs = _watch_stores(monkeypatch, poison)
-    assert verify_range(1, 11).counterexamples == (
-        (5, "sigma 55 (= sigma(1) + 5)", "5"),)
+    assert verify_range(1, 11).counterexamples == ()
     ((_, table, _),) = runs
-    assert table[1] == 7
+    assert table[1:3] == array("I", [7, 5])
+
+
+def test_range_reads_no_entry_of_1(monkeypatch):
+    # a cold table but for a wrong entry of 1: a sweep that read it would
+    # report according to the order in which it handles 5, 21, 85, ...
+    def poison(first, table):
+        table[0] = 50
+
+    runs = _watch_stores(monkeypatch, poison)
+    got = verify_range(1, 301)
+    want = reference_range_sweep(1, 301, profile=derive_profile,
+                                 stores=verify_module._stores)
+    assert report_to_json(got) == report_to_json(want)
+    first, table, _ = runs[0]
+    memo = {}
+    assert list(table[1:]) == [unit_step_sigma_memo(first + 2 * k, memo)
+                               for k in range(1, len(table))]
 
 
 def test_range_rejects_ranges_without_odd_members():
@@ -571,7 +588,7 @@ def test_range_reports_as_the_per_d_sweep_where_deep_paths_fill(monkeypatch, kin
 @pytest.mark.parametrize("class_filter", [None, 4, 9])
 def test_every_odd_value_lies_in_one_fill_path_or_scalar_class(class_filter):
     end = 2**17
-    paths, scalar = verify_module._sweep_paths(end, class_filter)
+    paths, scalar = verify_module._sweep_paths(class_filter)
     hits = array("I", [0]) * (end // 2)
     for residue, stride in [x[:2] for x in paths] + scalar:
         for d in range(residue, end, stride):
@@ -586,7 +603,7 @@ def test_fill_paths_follow_the_unit_step_walk(class_filter):
     # each path's target is the first odd value below d, c + e unit steps
     # on, and the odd values between lie above d, as the unit steps find
     limit = 2 ** (verify_module._PATH_BITS + 2)
-    paths, _ = verify_module._sweep_paths(limit, class_filter)
+    paths, _ = verify_module._sweep_paths(class_filter)
     checked = 0
     for residue, stride, e, p, b, steps, gap, inner in paths:
         assert p * stride >> e == 2 * gap
