@@ -35,6 +35,9 @@ SHAPES = [
     (500001, 10**6, None, 10**7),
     (2**33 + 1, 2**33 + 20001, None, 10**7),
     (100001, 200001, None, 300),
+    # a tight budget: walks above the end jump first descents, and many
+    # cross the budget inside one
+    (1, 3 * 10**5, None, 150),
 ]
 
 

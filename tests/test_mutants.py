@@ -106,12 +106,24 @@ ROWS = [
      stored_sigma_differs(1, 2001), "fill adds e in place of c + e"),
     ("verify", "b, c + e, p * stride", "b, c + e - 1, p * stride",
      stored_sigma_differs(1, 2001), "fill adds c + e - 1"),
-    ("verify", "if not any(map(mul, stored, map(sub, sigmas, stored))):",
-     "if True:",
+    ("verify", "_nonzero(v ^ s, low, top)", "0",
      report_differs(1, 101, poison={13: 10}), "fill overwrites stored entries"),
-    ("verify", "if any(map(mul, seen, map(sub, expected, seen))):", "if False:",
+    ("verify", "_nonzero(v ^ (t + delta * ones), low, top)", "0",
      report_differs(1, 20001, poison={15005: 7, 10003: 65}),
      "fill passes a stored value on the way"),
+    # 5 is the target of 13, on the path 16k + 13; without the top bit, the
+    # lane 2^31 + 3 reads as 3, within the limit
+    ("verify", "(((t & low) + (low - limit * ones)) | t) & top",
+     "((t & low) + (low - limit * ones)) & top",
+     report_differs(1, 2001, poison={5: 2**31 + 3}),
+     "fill takes a target of 2^31 or more"),
+    ("verify", "[(p, b, e, steps)]", "[(p, b, e, steps - 1)]",
+     stored_sigma_differs(1, 2001), "jump adds c + e - 1"),
+    # 103 -> 155 is one odd step, to a value in the range but above 103's
+    # block; the walk from 103 stops at 155's entry, so it must not jump it
+    ("verify", "if x > end:", "if x >= high:",
+     report_differs(1, 301, poison={155: 7, 103: 87}),
+     "walk jumps values in the range"),
     # neither sweep reads the entry of 1, so only the stored entries differ
     ("verify", "known_min = max(first, 3)", "known_min = first",
      stored_sigma_differs(1, 11, poison={1: 50}), "fill reads the entry of 1"),

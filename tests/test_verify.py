@@ -4,6 +4,8 @@ from array import array
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import collatz_cover.verify as verify_module
 from collatz_cover import (derive_profile, report_to_json, residue_class,
@@ -619,3 +621,127 @@ def test_fill_paths_follow_the_unit_step_walk(class_filter):
         for pi, bi, ei, delta, gi in inner:
             assert pi * stride >> ei == 2 * gi
     assert checked > limit // (27 if class_filter else 3)
+
+
+def test_jump_table_follows_the_unit_step_walk():
+    # each entry is the first descent of every odd x of its residue mod
+    # 2^12: its c-th odd value, c + e unit steps on, is the first below x
+    paths, _ = verify_module._sweep_paths(None)
+    jumps = verify_module._jump_table(paths)
+    assert len(jumps) == 1 << verify_module._PATH_BITS
+    assert all(entry is None for entry in jumps[::2])
+    checked = 0
+    for r, entry in enumerate(jumps):
+        if entry is None:
+            continue
+        p, b, e, steps = entry
+        for x in range(2**14 + r, 2**15, len(jumps)):
+            assert unit_step_odd_descent(x)[-1] == ((p * x + b) >> e, steps), x
+            checked += 1
+    assert checked > 4 * len(jumps) * 3 // 8
+
+
+# ------------------------------------------------ the fill's lane kernel
+
+def _fill_by_entries(table, first, d, n, descent, cap):
+    """``verify._fill`` one entry at a time: the n members' targets must
+    hold 1..cap - (c + e), and each value on the way in the table, and each
+    member's own entry, 0 or what the walk through the target gives it."""
+    _, stride, e, p, b, steps, _, inner = descent
+    members = range(d, d + stride * n, stride)
+    sigmas = [table[(((p * y + b) >> e) - first) >> 1] for y in members]
+    if not all(1 <= s <= cap - steps for s in sigmas):
+        return False
+    for pi, bi, ei, delta, _ in inner:
+        for y, s in zip(members, sigmas):
+            k = (((pi * y + bi) >> ei) - first) >> 1
+            if k < len(table) and table[k] not in (0, s + delta):
+                return False
+    if any(table[(y - first) >> 1] not in (0, s + steps)
+           for y, s in zip(members, sigmas)):
+        return False
+    for y, s in zip(members, sigmas):
+        table[(y - first) >> 1] = s + steps
+    return True
+
+
+# the paths with at least two odd values on the way
+_DEEP_PATHS = [x for x in verify_module._sweep_paths(None)[0] if len(x[-1]) >= 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lane_fill_matches_the_per_entry_fill(data):
+    # a table the fill accepts, with up to two entries then set to a lane
+    # value at a bound: 0, 1, limit, limit + 1, 2^31 - 1, 2^31, 2^32 - 1
+    descent = data.draw(st.sampled_from(_DEEP_PATHS))
+    _, stride, e, p, b, steps, _, inner = descent
+    # members far enough up that their targets lie below them
+    d = descent[0] + stride * data.draw(st.integers(b // stride + 1, b // stride + 40))
+    n = data.draw(st.integers(1, 6))
+    members = range(d, d + stride * n, stride)
+    on_way = [((pi * y + bi) >> ei, delta)
+              for y in members for pi, bi, ei, delta, _ in inner]
+    # an end below some values on the way cuts their slices short
+    top = max(y for y, _ in on_way)
+    end = data.draw(st.one_of(st.just(top), st.integers(members[-1], top)))
+    budget = data.draw(st.sampled_from(
+        [steps - 1, steps, steps + 1, steps + 200, 10**7, 10**7, 2**31 + 5]))
+    cap = min(budget, verify_module._LANE_MAX)
+    limit = cap - steps
+    special = [v for v in (0, 1, limit, limit + 1, 2**31 - 1, 2**31, 2**32 - 1)
+               if 0 <= v < 2**32]
+    table = array("I", [0]) * ((end - 1) // 2 + 1)
+    slots = []
+    for j, y in enumerate(members):
+        target = (p * y + b) >> e
+        assert target < y
+        sigma = data.draw(st.sampled_from([1, max(1, limit), min(57, max(1, limit))]))
+        table[(target - 1) >> 1] = sigma
+        slots.append(target)
+        for x, delta in on_way[j * len(inner):(j + 1) * len(inner)] + [(y, steps)]:
+            if x <= end:
+                table[(x - 1) >> 1] = data.draw(st.sampled_from([0, sigma + delta]))
+                slots.append(x)
+    for x in data.draw(st.lists(st.sampled_from(slots), max_size=2)):
+        table[(x - 1) >> 1] = data.draw(st.sampled_from(special))
+    lanes, entries = array("I", table), array("I", table)
+    got = verify_module._fill(lanes, 1, d, n, descent, cap)
+    assert got == _fill_by_entries(entries, 1, d, n, descent, cap)
+    assert lanes == entries
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut short by end"])
+@pytest.mark.parametrize("budget", [10**7, 2**31 + 5])
+@pytest.mark.parametrize("role", ["target", "on the way", "own entry"])
+@pytest.mark.parametrize("lane", ["0", "1", "limit", "limit + 1", "2^31 - 1",
+                                  "2^31", "2^32 - 1"])
+def test_lane_fill_at_lane_bounds(lane, role, budget, cut):
+    # three members whose targets hold 57 and whose other entries are 0,
+    # but for one entry of the middle member, which holds the lane value
+    descent = _DEEP_PATHS[0]
+    residue, stride, e, p, b, steps, _, inner = descent
+    cap = min(budget, verify_module._LANE_MAX)
+    limit = cap - steps
+    value = {"0": 0, "1": 1, "limit": limit, "limit + 1": limit + 1,
+             "2^31 - 1": 2**31 - 1, "2^31": 2**31, "2^32 - 1": 2**32 - 1}[lane]
+    d = residue + stride * (b // stride + 1)
+    members = [d, d + stride, d + 2 * stride]
+    pi, bi, ei, delta, _ = inner[0]
+    on_way = [(pi * y + bi) >> ei for y in members]
+    end = on_way[-1] - 2 if cut else max((qi * members[-1] + ci) >> fi
+                                         for qi, ci, fi, _, _ in inner)
+    table = array("I", [0]) * ((end - 1) // 2 + 1)
+    for y in members:
+        table[(((p * y + b) >> e) - 1) >> 1] = 57
+    slot = {"target": (p * members[1] + b) >> e, "on the way": on_way[1],
+            "own entry": members[1]}[role]
+    assert slot <= end
+    table[(slot - 1) >> 1] = value
+    fills = {"target": 1 <= value <= limit,
+             "on the way": value in (0, 57 + delta),
+             "own entry": value in (0, 57 + steps)}[role]
+    lanes, entries = array("I", table), array("I", table)
+    assert verify_module._fill(lanes, 1, d, 3, descent, cap) == fills
+    assert _fill_by_entries(entries, 1, d, 3, descent, cap) == fills
+    assert lanes == entries
