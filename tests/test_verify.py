@@ -14,6 +14,8 @@ from collatz_cover import (derive_profile, report_to_json, residue_class,
 from collatz_cover.covering import RESIDUE_ORDER
 from oracles import (reference_range_sweep, unit_step_odd_descent,
                      unit_step_sigma_memo)
+from random_range_differential import (ROW_MOVES, STORE_KINDS, make_trial,
+                                       rows_of, run_trial)
 
 
 def _oracle_deferred(first, end, budget):
@@ -528,19 +530,6 @@ def _stores_of(kind, seed=0):
     return stores
 
 
-def _mutated_rows(i, m, how):
-    """derive_profile with row (i, m) moved: its offset by +-modulus or
-    +modulus/2, or its modulus halved."""
-    true = derive_profile(i, m)
-    offset, modulus = true.d_offset, true.d_modulus
-    offset, modulus = {"+modulus": (offset + modulus, modulus),
-                       "-modulus": (offset - modulus, modulus),
-                       "+modulus/2": (offset + modulus // 2, modulus),
-                       "modulus/2": (offset, modulus // 2)}[how]
-    row = SimpleNamespace(class_index=i, m=m, d_offset=offset, d_modulus=modulus)
-    return lambda ci, cm: row if (ci, cm) == (i, m) else derive_profile(ci, cm)
-
-
 def _same_report_as_per_d_sweep(monkeypatch, start, end, class_filter, budget,
                                 stores, profile=derive_profile):
     monkeypatch.setattr(verify_module, "_stores", stores)
@@ -567,7 +556,7 @@ def test_range_reports_as_the_per_d_sweep_for_one_class(monkeypatch, class_filte
                                 _stores_of(kind, seed=class_filter))
 
 
-@pytest.mark.parametrize("how", ["+modulus", "-modulus", "+modulus/2", "modulus/2"])
+@pytest.mark.parametrize("how", ROW_MOVES)
 @pytest.mark.parametrize("m", range(1, 9))
 def test_range_reports_as_the_per_d_sweep_with_a_wrong_row(monkeypatch, m, how):
     i = 1 + (4 * m) % 9
@@ -575,7 +564,7 @@ def test_range_reports_as_the_per_d_sweep_with_a_wrong_row(monkeypatch, m, how):
     class_filter = i if how == "modulus/2" and m % 2 else None
     _same_report_as_per_d_sweep(monkeypatch, start, start + 4000, class_filter,
                                 [60, 111, 10**7][m % 3], _stores_of(kind, seed=m),
-                                _mutated_rows(i, m, how))
+                                rows_of((i, m, how)))
 
 
 @pytest.mark.parametrize("kind", ["cold", "poisoned"])
@@ -583,6 +572,24 @@ def test_range_reports_as_the_per_d_sweep_where_deep_paths_fill(monkeypatch, kin
     # the deepest paths step by 2^12, and have members in every block here
     _same_report_as_per_d_sweep(monkeypatch, 1, 2 * 10**5, None, 10**7,
                                 _stores_of(kind, seed=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(
+    make_trial,
+    start=st.one_of(st.integers(1, 4000), st.integers(2**32 - 4000, 2**32 + 4000),
+                    st.integers(1, 2**33)),
+    width=st.integers(0, 1000),
+    class_filter=st.one_of(st.none(), st.integers(1, 9)),
+    budget=st.one_of(st.just(10**7), st.integers(1, 400)),
+    stores=st.sampled_from(STORE_KINDS),
+    row=st.one_of(st.none(), st.tuples(st.integers(1, 9), st.integers(1, 12),
+                                       st.sampled_from(ROW_MOVES))),
+    seed=st.integers(0, 2**32 - 1)))
+def test_range_reports_as_the_per_d_sweep_on_random_shapes(trial):
+    # the trials of tests/random_range_differential.py, narrower: the
+    # report and every walked member's stored stopping time must match
+    assert run_trial(trial) is None
 
 
 # ------------------------------------------------ the sweep's fill paths
