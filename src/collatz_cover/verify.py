@@ -15,9 +15,10 @@ which fixes the first odd value below d (Terras 1976; Lagarias 1985); as d
 steps along a path, that value steps by a fixed stride, so most members
 take their stopping times from slices of the table, each slice checked and
 filled as the 32-bit lanes of one int. Every other member takes one walk
-from its first odd value, which jumps along the same first descents where
-it runs above the range. Neither reads the entry of 1, and the report
-depends only on the range, the class and the budget.
+from itself, which jumps along the same first descents from each value
+above its floor, the largest value whose entry was set before the sweep.
+Neither reads the entry of 1, and the report depends only on the range,
+the class and the budget.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ _BELOW_MAX = 1 << 32
 #: blocks of 2^17, the max RSS of ``verify range --end 1000000`` was 0.25
 #: to 0.4 MiB higher (CPython 3.11, x86-64).
 _BLOCK_MAX = 1 << 16
+
+#: 1 in each of _LANES 32-bit lanes, the most that one fill reads: a block
+#: holds at most _BLOCK_MAX integers, and a path steps by 4 or more. A fill
+#: of n lanes shifts out the low n, in place of a division per call.
+_LANES = _BLOCK_MAX >> 2
+_ONES = ((1 << 32 * _LANES) - 1) // 0xFFFFFFFF
 
 #: A fill stores no stopping time above this, so that every lane of its ints
 #: stays below 2^31: a target, a target plus the steps to a value on the
@@ -118,14 +125,31 @@ def _sweep_paths(class_filter: int | None):
 
 
 def _jump_table(paths) -> list:
-    """The first descents of ``_sweep_paths(None)``'s ``paths`` by residue
-    mod 2^_PATH_BITS: entry r of the list is (3^c, b, e, c + e) when every
-    odd x = r (mod 2^_PATH_BITS) reaches its c-th odd value (3^c*x + b)/2^e
-    after c + e unit steps, with the odd values between above x, and None
-    for a scalar residue."""
+    """The jumps of the range sweep's walk by residue mod 2^_PATH_BITS,
+    from ``_sweep_paths(None)``'s ``paths``: entry r of the list is
+    (3^c, b, e, c + e) when every odd x = r (mod 2^_PATH_BITS) reaches its
+    c-th odd value (3^c*x + b)/2^e after c + e unit steps, with the odd
+    values between above x. For the residue of a path that value is x's
+    first descent, the first odd value below x. For a scalar residue it is
+    the last odd value that r fixes, which lies above x as each value before
+    it does; only the residue with v(3x+1) >= _PATH_BITS, where r fixes not
+    even the first odd step, is None."""
     jumps = [None] * (1 << _PATH_BITS)
     for residue, stride, e, p, b, steps, _, _ in paths:
         jumps[residue::stride] = [(p, b, e, steps)] * ((1 << _PATH_BITS) // stride)
+    for r in range(1, 1 << _PATH_BITS, 2):
+        if jumps[r] is None:
+            # walk x = r while its halvings, e in all, stay below
+            # _PATH_BITS: so far the odd steps are those of every x = r
+            x, c, e, b = r, 0, 0, 0
+            while True:
+                y = 3 * x + 1
+                s = (y & -y).bit_length() - 1
+                if e + s >= _PATH_BITS:
+                    break
+                x, c, b, e = y >> s, c + 1, 3 * b + (1 << e), e + s
+            if c:
+                jumps[r] = (3 ** c, b, e, c + e)
     return jumps
 
 
@@ -141,12 +165,13 @@ def _fill(table: array, first: int, d: int, n: int, descent, cap: int) -> bool:
     ``_sweep_paths``, ``descent``, with sigma(target) + c + e, and return
     whether it did.
 
-    Each slice of the table is read as one int of n 32-bit lanes (ONES has
-    1 in every lane, TOP = ONES << 31, LOW = TOP - ONES), so each test is a
-    few big-int operations. The fill goes ahead only when every target
-    entry T lies in [1, limit], limit = cap - (c + e), and each odd value
-    on the way, and each member's own entry, holds 0 or what the walk
-    through the target gives it: T + delta, or S = T + (c + e). A lane
+    Each slice of the table is read as one int of n 32-bit lanes (ONES,
+    shifted out of ``_ONES``, has 1 in every lane, TOP = ONES << 31 and
+    LOW = TOP - ONES), so each test is a few big-int operations. The fill
+    goes ahead only when every target entry T lies in [1, limit],
+    limit = cap - (c + e), and each odd value on the way, and each member's
+    own entry, holds 0 or what the walk through the target gives it:
+    T + delta, or S = T + (c + e). A lane
     t <= limit adds to LOW - limit without reaching its top bit, and t's
     own top bit is caught apart. A value on the way above the table's end
     gives a shorter slice, whose missing lanes test as 0. cap is at most
@@ -155,7 +180,7 @@ def _fill(table: array, first: int, d: int, n: int, descent, cap: int) -> bool:
     limit = cap - steps
     if limit < 1:
         return False
-    ones = ((1 << 32 * n) - 1) // 0xFFFFFFFF
+    ones = _ONES >> 32 * (_LANES - n)
     top = ones << 31
     low = top - ones
     k = (((p * d + b) >> e) - first) >> 1
@@ -186,6 +211,18 @@ def _stores(first: int, end: int) -> tuple[array, dict[int, int]]:
     dict maps odd values below ``min(first, _BELOW_MAX)`` to their stopping
     times."""
     return array("I", [0]) * ((end - first) // 2 + 1), {}
+
+
+def _floor(first: int, table: array, below: dict[int, int]) -> int:
+    """The largest value whose entry either store holds, 0 when both are
+    empty. The table is scanned from its end in slices of 16 KiB, so a
+    cold table costs no copy of its whole length."""
+    for top in range(len(table), 0, -4096):
+        low = max(0, top - 4096)
+        tail = table[low:top].tobytes().rstrip(b"\0")
+        if tail:
+            return first + 2 * (low + (len(tail) - 1) // 4)
+    return max(below, default=0)
 
 
 def _row_faults(i: int, m: int, offset: int, modulus: int) -> list:
@@ -469,25 +506,36 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     target gives it. That last test is there because the walk from d stops
     at the first known entry it meets, and reports from it. A fill reads
     each slice as one int of 32-bit lanes and makes each test with a few
-    big-int operations (``_fill``). Every other member walks odd-to-odd
-    from its first odd value, target = (3d+1)/2^m, until 1 or a known entry
-    of either store, then stores the walk's values that either store
-    admits. Above ``end`` the walk reads and stores nothing, and the odd
-    values on a first descent lie above its start, so there it jumps from x
-    to its first odd value below x, by the path of x mod 2^12
-    (``_jump_table``); a scalar residue takes one odd step. Steps only
-    grow, so a walk that crosses the budget inside a jump is deferred as
-    the odd steps would defer it.
+    big-int operations (``_fill``). Every other member walks from d itself
+    until 1 or a known entry of either store, then stores the values it
+    landed on that either store admits. The floor is the largest value
+    whose entry either store held when the sweep began (``_floor``), 0 for
+    the empty stores of ``_stores``. From a value x above the floor the
+    walk jumps by x mod 2^12 (``_jump_table``): to the first odd value
+    below x, or for a scalar residue along the odd steps that the residue
+    fixes; from any other x it takes one odd step, as it does from the one
+    residue that fixes no step. The odd values a jump passes lie above x,
+    so above the floor, and each entry above the floor was stored by this
+    sweep as what the walk through its value gives: where a walk of odd
+    steps would stop at such an entry, the jump reaches the same sum. Steps
+    only grow, so a walk that crosses the budget inside a jump is deferred
+    as the odd steps would defer it.
 
-    sigma(d) is its table entry, or sigma(target) + m + 1 when it has none.
-    The recurrence comparison therefore only bites on entries that an
-    earlier walk stored: it checks that one table is consistent, and is not
-    an independent audit of the stopping times. Every entry the sweep
-    stores is what the walk from its value gives, and neither a fill nor a
-    walk reads the entry of 1, so the report does not depend on the order
-    in which members are handled, nor on a fill storing a skipped member's
-    entry but not the values on the way; counterexamples and deferrals are
-    listed by d.
+    sigma(d) is its table entry, or what its walk gives when it has none;
+    a counterexample names it as sigma(target) + m + 1, for
+    target = (3d+1)/2^m. The recurrence comparison therefore only bites on
+    entries stored before d is handled: it checks that one table is
+    consistent, and is not an independent audit of the stopping times.
+    Every entry the sweep stores is what the walk from its value gives, and
+    neither a fill nor a walk reads the entry of 1, so the report does not
+    depend on the order in which members are handled, nor on which values
+    a fill or a jump passes without storing them; counterexamples and
+    deferrals are listed by d. Each member ends with its stopping time in
+    the table, unless it is deferred or fails reconstruction, and so does
+    each value a walk lands on in the range. A value only passed is left
+    as it was: under a class filter a non-member, and a member that failed
+    reconstruction, can hold 0 where a walk of single odd steps would have
+    stored its stopping time.
 
     An odd integer is deferred when its stopping time exceeds ``budget``.
     """
@@ -531,6 +579,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     jump_mask = len(jumps) - 1
     cap = min(budget, _LANE_MAX)
     table, below = _stores(first, end)
+    floor = _floor(first, table, below)
     below_get = below.get
     below_max = min(first, _BELOW_MAX)
     # a fill reads no target below the start, nor 1, where walks end
@@ -560,33 +609,35 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
         if skip:
             todo = [d for d in todo if d not in skip]
         for d in todo:
-            x = 3 * d + 1
-            m = (x & -x).bit_length() - 1
-            target = x >> m
             if d == 1:  # sigma(1) = 0 by termination; the recurrence needs d > 1
                 continue
             index = (d - first) >> 1
             sigma_d = table[index]
-            # steps becomes sigma(target) + m + 1: a walk odd-to-odd from
-            # target until 1 or a known entry; steps counts the unit steps
-            # from d to x
-            steps = m + 1
-            x = target
+            # a walk from d until 1 or a known entry of either store; steps
+            # counts the unit steps from d to x
+            x = d
+            steps = 0
             path = []  # (index, unit steps from d) per value to store
             # (value, unit steps from d) below the start; made on first use,
             # since an empty list per walk slows the full sweep
             below_path = None
-            while x != 1 and steps <= budget:
+            while True:
+                if x > floor and (jump := jumps[x & jump_mask]) is not None:
+                    # the odd values a jump passes lie above x, where no
+                    # entry was set before the sweep
+                    jp, jb, je, jsteps = jump
+                    x = (jp * x + jb) >> je
+                    steps += jsteps
+                else:
+                    x = 3 * x + 1
+                    s = (x & -x).bit_length() - 1
+                    x >>= s
+                    steps += s + 1
+                if x == 1 or steps > budget:
+                    break
                 if x > end:
-                    # the odd values on x's first descent lie above x, where
-                    # the walk neither reads nor stores, so it jumps them
-                    jump = jumps[x & jump_mask]
-                    if jump is not None:
-                        jp, jb, je, jsteps = jump
-                        x = (jp * x + jb) >> je
-                        steps += jsteps
-                        continue
-                elif x >= first:
+                    continue
+                if x >= first:
                     k = (x - first) >> 1
                     known = table[k]
                     if known:
@@ -601,10 +652,6 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
                     if below_path is None:
                         below_path = []
                     below_path.append((x, steps))
-                x = 3 * x + 1
-                s = (x & -x).bit_length() - 1
-                x >>= s
-                steps += s + 1
             if steps <= budget:
                 for k, consumed in path:
                     table[k] = steps - consumed
@@ -616,8 +663,10 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
             elif not sigma_d:
                 table[index] = steps
             elif sigma_d != steps:
+                x = 3 * d + 1
+                m = (x & -x).bit_length() - 1
                 counterexamples.append(Counterexample(
-                    d, f"sigma {steps} (= sigma({target}) + {m + 1})", str(sigma_d)))
+                    d, f"sigma {steps} (= sigma({x >> m}) + {m + 1})", str(sigma_d)))
         low = high
     counterexamples.sort(key=itemgetter(0))
     deferred.sort(key=itemgetter(0))

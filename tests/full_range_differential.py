@@ -34,6 +34,9 @@ SHAPES = [
     (1, 10**6, 4, 10**7),
     (500001, 10**6, None, 10**7),
     (2**33 + 1, 2**33 + 20001, None, 10**7),
+    # a far window: walks jump the band [2^32, start), where nothing is
+    # stored, as they jump the values above the end
+    (10**12 + 1, 10**12 + 20001, None, 10**7),
     (100001, 200001, None, 300),
     # a tight budget: walks above the end jump first descents, and many
     # cross the budget inside one

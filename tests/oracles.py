@@ -52,6 +52,19 @@ def unit_step_odd_descent(d: int) -> list[tuple[int, int]]:
     return odds
 
 
+def unit_step_odds(x: int, count: int) -> list[tuple[int, int]]:
+    """The first ``count`` odd values the unit-step walk from odd x meets
+    after x itself, each with its unit steps from x."""
+    assert x >= 1 and x & 1
+    odds, n, steps = [], x, 0
+    while len(odds) < count:
+        n = 3 * n + 1 if n & 1 else n >> 1
+        steps += 1
+        if n & 1:
+            odds.append((n, steps))
+    return odds
+
+
 def valuation_by_division(x: int) -> tuple[int, int]:
     """(m, odd_part) of even x > 0, counting factors of 2 one at a time."""
     assert x > 0 and x % 2 == 0

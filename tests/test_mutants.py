@@ -26,11 +26,15 @@ SOURCE_DIR = Path(collatz_cover.__file__).parent
 
 def _poisoned(make, poison):
     """A store factory that writes ``poison`` {value: entry} into the
-    table ``make`` gives, as an earlier run might have left it."""
+    stores ``make`` gives, as an earlier run might have left them: a value
+    below the start into the below-start dict, any other into the table."""
     def stores(first, end):
         table, below = make(first, end)
         for y, entry in poison.items():
-            table[(y - first) >> 1] = entry
+            if y < first:
+                below[y] = entry
+            else:
+                table[(y - first) >> 1] = entry
         return table, below
     return stores
 
@@ -95,8 +99,8 @@ def cover_audit_fails(module):
 
 
 ROWS = [
-    ("verify", "while x != 1 and steps <= budget:",
-     "while x != 1 and steps < budget:",
+    ("verify", "if x == 1 or steps > budget:",
+     "if x == 1 or steps >= budget:",
      report_differs(1, 2001, budget=111), "walk stops one unit step early"),
     ("verify", "table[k] = steps - consumed\n",
      "table[k] = steps - consumed + 1\n",
@@ -119,11 +123,23 @@ ROWS = [
      "fill takes a target of 2^31 or more"),
     ("verify", "[(p, b, e, steps)]", "[(p, b, e, steps - 1)]",
      stored_sigma_differs(1, 2001), "jump adds c + e - 1"),
-    # 103 -> 155 is one odd step, to a value in the range but above 103's
-    # block; the walk from 103 stops at 155's entry, so it must not jump it
-    ("verify", "if x > end:", "if x >= high:",
+    # 27 is a scalar residue mod 2^12: its jump is the prefix of 8 odd
+    # steps, 19 unit steps, to 91, still above 27
+    ("verify", "jumps[r] = (3 ** c, b, e, c + e)",
+     "jumps[r] = (3 ** c, b, e, c + e + 1)",
+     stored_sigma_differs(1, 2001), "prefix jump adds one step"),
+    # 103 -> 155 is one odd step, to a value in the range, whose entry was
+    # set before the sweep: the walk from 103 stops at it, so it must not
+    # jump it. With the floor at 155, 103 takes one odd step
+    ("verify", "    floor = _floor(first, table, below)\n", "    floor = 0\n",
      report_differs(1, 301, poison={155: 7, 103: 87}),
      "walk jumps values in the range"),
+    # 25 lands on 19 and 19 on 11, whose first descent 11 -> 17 -> 13 -> 5
+    # passes 17; 17's entry in the dict, above the budget, must defer the
+    # walks that reach 11, so 11 lies at or below the floor
+    ("verify", "    return max(below, default=0)\n", "    return 0\n",
+     report_differs(21, 101, budget=200, poison={17: 250}),
+     "floor ignores the below-start dict"),
     # neither sweep reads the entry of 1, so only the stored entries differ
     ("verify", "known_min = max(first, 3)", "known_min = first",
      stored_sigma_differs(1, 11, poison={1: 50}), "fill reads the entry of 1"),

@@ -13,7 +13,7 @@ from collatz_cover import (derive_profile, report_to_json, residue_class,
                            verify_sigma_relation, verify_theorem1_symbolic)
 from collatz_cover.covering import RESIDUE_ORDER
 from oracles import (reference_range_sweep, unit_step_odd_descent,
-                     unit_step_sigma_memo)
+                     unit_step_odds, unit_step_sigma_memo)
 from random_range_differential import (ROW_MOVES, STORE_KINDS, make_trial,
                                        rows_of, run_trial)
 
@@ -631,21 +631,44 @@ def test_fill_paths_follow_the_unit_step_walk(class_filter):
 
 
 def test_jump_table_follows_the_unit_step_walk():
-    # each entry is the first descent of every odd x of its residue mod
-    # 2^12: its c-th odd value, c + e unit steps on, is the first below x
+    # entry r takes every odd x = r (mod 2^12) to its c-th odd value, c + e
+    # unit steps on, and every odd value before it lies above x: for a
+    # path's residue that value is x's first descent, for a scalar residue
+    # it is the last that r fixes, still above x. Small x included
     paths, _ = verify_module._sweep_paths(None)
     jumps = verify_module._jump_table(paths)
-    assert len(jumps) == 1 << verify_module._PATH_BITS
+    modulus = 1 << verify_module._PATH_BITS
+    assert len(jumps) == modulus
     assert all(entry is None for entry in jumps[::2])
-    checked = 0
+    # r fixes not even the first odd step only where 2^12 divides 3r + 1
+    assert [r for r in range(1, modulus, 2) if jumps[r] is None] == [
+        r for r in range(1, modulus, 2) if (3 * r + 1) % modulus == 0]
+    descents = {r for residue, stride, *_ in paths
+                for r in range(residue, modulus, stride)}
+    checked = prefixes = 0
     for r, entry in enumerate(jumps):
         if entry is None:
             continue
         p, b, e, steps = entry
-        for x in range(2**14 + r, 2**15, len(jumps)):
-            assert unit_step_odd_descent(x)[-1] == ((p * x + b) >> e, steps), x
+        c = steps - e
+        assert p == 3 ** c, r
+        for x in [*range(r, 2**13, modulus), *range(2**14 + r, 2**15, modulus)]:
+            if x < 3:
+                continue
+            landing = (p * x + b) >> e
+            odds = unit_step_odds(x, c)
+            assert odds[-1] == (landing, steps), x
+            assert all(y > x for y, _ in odds[:-1]), x
+            if r in descents:
+                if x > 2**14:
+                    assert unit_step_odd_descent(x)[-1] == (landing, steps), x
+            else:
+                assert landing > x, x
+                prefixes += 1
             checked += 1
-    assert checked > 4 * len(jumps) * 3 // 8
+    # six x for each of the odd residues but 1365, less x = 1
+    assert checked == 6 * (modulus // 2 - 1) - 1
+    assert prefixes > 6 * 250
 
 
 # ------------------------------------------------ the fill's lane kernel
