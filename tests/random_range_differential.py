@@ -14,7 +14,9 @@ A trial draws:
   of the range and for some values below the start; poisoned, on warm or
   cold stores, adds wrong entries in the below-start dict and mostly in
   the table, the entry of 1 included, some of them at the 32-bit lane
-  bounds;
+  bounds; low-poisoned adds them to the lower part of the table only, so
+  that the floor lies inside the range and the fills above it read only
+  their targets, some of which are poisoned;
 - in about a third of the trials, one progression row moved off its true
   offset or modulus. The members whose reconstruction then fails are left
   out of the stored comparison: neither sweep walks them, and only the
@@ -47,7 +49,7 @@ from collatz_cover.covering import RESIDUE_ORDER  # noqa: E402
 from oracles import reference_range_sweep, unit_step_sigma_memo  # noqa: E402
 
 ROW_MOVES = ("+modulus", "-modulus", "+modulus/2", "modulus/2")
-STORE_KINDS = ("cold", "warm", "poisoned")
+STORE_KINDS = ("cold", "warm", "poisoned", "low-poisoned")
 #: Wrong entries a poisoned store may hold, beyond small ones: the 32-bit
 #: lane bounds that the sweep's fills test.
 LANE_BOUNDS = (2**31 - 1, 2**31, 2**31 + 3, 2**32 - 1)
@@ -129,18 +131,30 @@ def stores_of(trial: Trial, make):
         memo = {}
         below_max = min(first, 2**32)
         # true stopping times of a prefix of the range, and of some odd
-        # values just below the start; half the poisoned stores start cold
+        # values just below the start; half the poisoned stores start cold,
+        # and a low-poisoned store's prefix ends in the table's lower half
+        low = trial.stores == "low-poisoned"
         if trial.stores == "warm" or rng.random() < 0.5:
-            for k in range(rng.randrange(len(table) + 1)):
+            for k in range(rng.randrange((len(table) >> low) + 1)):
                 y = first + 2 * k
                 if y > 1:
                     table[k] = unit_step_sigma_memo(y, memo)
             for y in range(max(3, below_max - 400) | 1, below_max, 2):
                 if rng.random() < 0.3:
                     below[y] = unit_step_sigma_memo(y, memo)
+
+        def wrong():
+            return rng.choice([rng.randrange(1, 250), rng.choice(LANE_BOUNDS)])
+
+        if low:
+            # wrong entries, the entry of 1 included, below a cut in the
+            # lower half of the table: the floor lies below the cut
+            cut = rng.randrange((len(table) >> 1) + 1)
+            for k in rng.sample(range(cut), min(cut, 30)):
+                table[k] = wrong()
+            if first == 1 and cut:
+                table[0] = wrong()
         if trial.stores == "poisoned":
-            def wrong():
-                return rng.choice([rng.randrange(1, 250), rng.choice(LANE_BOUNDS)])
             # a table left cold shows whether the dict's entries count
             if rng.random() < 2 / 3:
                 for k in rng.sample(range(len(table)), min(len(table), 30)):

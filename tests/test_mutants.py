@@ -112,6 +112,11 @@ ROWS = [
      stored_sigma_differs(1, 2001), "fill adds c + e - 1"),
     ("verify", "_nonzero(v ^ s, low, top)", "0",
      report_differs(1, 101, poison={13: 10}), "fill overwrites stored entries"),
+    # 13's entry sets the floor at 13, so the fill of 13 from 5 must still
+    # test 13's own entry
+    ("verify", "if d <= floor:", "if d < 0:",
+     report_differs(1, 101, poison={13: 10}),
+     "fill skips its tests at or below the floor"),
     ("verify", "_nonzero(v ^ (t + delta * ones), low, top)", "0",
      report_differs(1, 20001, poison={15005: 7, 10003: 65}),
      "fill passes a stored value on the way"),
@@ -154,6 +159,18 @@ ROWS = [
 ]
 
 
+#: The rows that the library's own audit catches, on cold stores:
+#: ``verify_sigma_relation(20001)`` fails under each. Every other row is
+#: caught only by the oracles of the tests. This set should only grow.
+CAUGHT_BY_SIGMA_RELATION = (
+    "walk stores one step too many",
+    # above the floor a fill no longer tests the entries walks stored, so
+    # the jumps' short counts and the fills' full c + e meet in one table,
+    # where a later walk finds them out
+    "jump adds c + e - 1",
+)
+
+
 def _module(name, source):
     module = ModuleType(f"collatz_cover.{name}")
     module.__package__ = "collatz_cover"
@@ -168,3 +185,12 @@ def test_mutant_is_caught(name, fragment, replacement, caught, what):
     assert source.count(fragment) == 1
     assert not caught(_module(name, source))
     assert caught(_module(name, source.replace(fragment, replacement)))
+
+
+@pytest.mark.parametrize("what", CAUGHT_BY_SIGMA_RELATION)
+def test_sigma_relation_catches_the_mutant(what):
+    ((name, fragment, replacement, _, _),) = [row for row in ROWS if row[-1] == what]
+    source = (SOURCE_DIR / f"{name}.py").read_text(encoding="utf-8")
+    assert _module(name, source).verify_sigma_relation(20001).outcome == "pass"
+    mutant = _module(name, source.replace(fragment, replacement))
+    assert mutant.verify_sigma_relation(20001).outcome == "fail"

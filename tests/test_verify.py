@@ -671,25 +671,57 @@ def test_jump_table_follows_the_unit_step_walk():
     assert prefixes > 6 * 250
 
 
+# ------------------------------------------------ the stores' floor
+
+# one entry at index 0, 4095, 4096 or the last: the table is scanned in
+# chunks of 4096 entries from its end, so a length that is no multiple of
+# 4096 leaves a short chunk at index 0
+_FLOOR_CASES = [(length, index) for length in (1, 4096, 8192, 3 * 4096 + 17)
+                for index in sorted({0, 4095, 4096, length - 1}) if index < length]
+
+
+@pytest.mark.parametrize("first", [1, 10**12 + 1])
+@pytest.mark.parametrize("value", [1, 2**32 - 1])
+@pytest.mark.parametrize("length, index", _FLOOR_CASES)
+def test_floor_is_the_largest_value_either_store_holds(first, value, length, index):
+    table, below = verify_module._stores(first, first + 2 * (length - 1))
+    assert len(table) == length
+    assert verify_module._floor(first, table, below) == 0
+    below.update({first - 2: 5} if first > 1 else {})
+    table[index] = value
+    assert verify_module._floor(first, table, below) == first + 2 * index
+    table[0] = 3
+    assert verify_module._floor(first, table, below) == first + 2 * index
+
+
+def test_floor_of_the_dict_alone():
+    table, below = verify_module._stores(10**6 + 1, 10**6 + 2 * 9000)
+    assert verify_module._floor(10**6 + 1, table, below) == 0
+    below.update({7: 16, 999_999: 258, 31: 106})
+    assert verify_module._floor(10**6 + 1, table, below) == 999_999
+
+
 # ------------------------------------------------ the fill's lane kernel
 
-def _fill_by_entries(table, first, d, n, descent, cap):
+def _fill_by_entries(table, first, d, n, descent, cap, floor):
     """``verify._fill`` one entry at a time: the n members' targets must
-    hold 1..cap - (c + e), and each value on the way in the table, and each
-    member's own entry, 0 or what the walk through the target gives it."""
+    hold 1..cap - (c + e), and when d <= floor each value on the way in the
+    table, and each member's own entry, 0 or what the walk through the
+    target gives it."""
     _, stride, e, p, b, steps, _, inner = descent
     members = range(d, d + stride * n, stride)
     sigmas = [table[(((p * y + b) >> e) - first) >> 1] for y in members]
     if not all(1 <= s <= cap - steps for s in sigmas):
         return False
-    for pi, bi, ei, delta, _ in inner:
-        for y, s in zip(members, sigmas):
-            k = (((pi * y + bi) >> ei) - first) >> 1
-            if k < len(table) and table[k] not in (0, s + delta):
-                return False
-    if any(table[(y - first) >> 1] not in (0, s + steps)
-           for y, s in zip(members, sigmas)):
-        return False
+    if d <= floor:
+        for pi, bi, ei, delta, _ in inner:
+            for y, s in zip(members, sigmas):
+                k = (((pi * y + bi) >> ei) - first) >> 1
+                if k < len(table) and table[k] not in (0, s + delta):
+                    return False
+        if any(table[(y - first) >> 1] not in (0, s + steps)
+               for y, s in zip(members, sigmas)):
+            return False
     for y, s in zip(members, sigmas):
         table[(y - first) >> 1] = s + steps
     return True
@@ -699,16 +731,30 @@ def _fill_by_entries(table, first, d, n, descent, cap):
 _DEEP_PATHS = [x for x in verify_module._sweep_paths(None)[0] if len(x[-1]) >= 2]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_lane_fill_matches_the_per_entry_fill(data):
-    # a table the fill accepts, with up to two entries then set to a lane
-    # value at a bound: 0, 1, limit, limit + 1, 2^31 - 1, 2^31, 2^32 - 1
+def _lane_values(limit):
+    """The lane values at a bound: 0, 1, limit, limit + 1, 2^31 - 1, 2^31
+    and 2^32 - 1, those that fit in 32 bits."""
+    return [v for v in (0, 1, limit, limit + 1, 2**31 - 1, 2**31, 2**32 - 1)
+            if 0 <= v < 2**32]
+
+
+def _draw_fill_case(data, below_members=False):
+    """A path, its first member d, a member count n, the end, the cap, a
+    floor and a table over [1, end] as the sweep leaves it: each target
+    holds a stopping time in [1, limit], and each value on the way and
+    each member's own entry 0 or what the walk through the target gives
+    it. With ``below_members`` the floor lies below d, and a target at or
+    below it may hold any lane value, which the walks through it read as
+    it is; else the floor is None. Also the targets, and the values on the
+    way and members whose entries were drawn."""
     descent = data.draw(st.sampled_from(_DEEP_PATHS))
     _, stride, e, p, b, steps, _, inner = descent
     # members far enough up that their targets lie below them
     d = descent[0] + stride * data.draw(st.integers(b // stride + 1, b // stride + 40))
-    n = data.draw(st.integers(1, 6))
+    # as in a block of the sweep, every target lies below the members
+    n = next(k for k in range(data.draw(st.integers(1, 6)), 0, -1)
+             if (p * (d + stride * (k - 1)) + b) >> e < d)
+    floor = data.draw(st.integers(0, d - 1)) if below_members else None
     members = range(d, d + stride * n, stride)
     on_way = [((pi * y + bi) >> ei, delta)
               for y in members for pi, bi, ei, delta, _ in inner]
@@ -719,26 +765,53 @@ def test_lane_fill_matches_the_per_entry_fill(data):
         [steps - 1, steps, steps + 1, steps + 200, 10**7, 10**7, 2**31 + 5]))
     cap = min(budget, verify_module._LANE_MAX)
     limit = cap - steps
-    special = [v for v in (0, 1, limit, limit + 1, 2**31 - 1, 2**31, 2**32 - 1)
-               if 0 <= v < 2**32]
     table = array("I", [0]) * ((end - 1) // 2 + 1)
-    slots = []
+    targets, slots = [], []
     for j, y in enumerate(members):
         target = (p * y + b) >> e
-        assert target < y
-        sigma = data.draw(st.sampled_from([1, max(1, limit), min(57, max(1, limit))]))
+        sigmas = [1, max(1, limit), min(57, max(1, limit))]
+        if floor is not None and target <= floor:
+            sigmas += _lane_values(limit)
+        sigma = data.draw(st.sampled_from(sigmas))
         table[(target - 1) >> 1] = sigma
-        slots.append(target)
+        targets.append(target)
         for x, delta in on_way[j * len(inner):(j + 1) * len(inner)] + [(y, steps)]:
             if x <= end:
-                table[(x - 1) >> 1] = data.draw(st.sampled_from([0, sigma + delta]))
+                walked = [0, sigma + delta] if sigma + delta < 2**32 else [0]
+                table[(x - 1) >> 1] = data.draw(st.sampled_from(walked))
                 slots.append(x)
-    for x in data.draw(st.lists(st.sampled_from(slots), max_size=2)):
+    return descent, d, n, end, cap, floor, table, targets, slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lane_fill_matches_the_per_entry_fill(data):
+    # a table the fill accepts, with up to two entries then set to a lane
+    # value at a bound, and a floor at or above the members, so that every
+    # test runs
+    descent, d, n, end, cap, _, table, targets, slots = _draw_fill_case(data)
+    special = _lane_values(cap - descent[5])
+    for x in data.draw(st.lists(st.sampled_from(targets + slots), max_size=2)):
         table[(x - 1) >> 1] = data.draw(st.sampled_from(special))
+    floor = data.draw(st.integers(d, end))
     lanes, entries = array("I", table), array("I", table)
-    got = verify_module._fill(lanes, 1, d, n, descent, cap)
-    assert got == _fill_by_entries(entries, 1, d, n, descent, cap)
+    got = verify_module._fill(lanes, 1, d, n, descent, cap, floor)
+    assert got == _fill_by_entries(entries, 1, d, n, descent, cap, floor)
     assert lanes == entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lane_fill_above_the_floor_reads_only_targets(data):
+    # a floor below the members, on a table whose entries above it are what
+    # the walk through each target gives: the fill that reads only the
+    # targets fills as the fill that tests every entry does
+    descent, d, n, end, cap, floor, table, _, _ = _draw_fill_case(data, True)
+    lanes, entries, tested = array("I", table), array("I", table), array("I", table)
+    got = verify_module._fill(lanes, 1, d, n, descent, cap, floor)
+    assert got == _fill_by_entries(entries, 1, d, n, descent, cap, floor)
+    assert got == _fill_by_entries(tested, 1, d, n, descent, cap, end)
+    assert lanes == entries == tested
 
 
 @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut short by end"])
@@ -748,7 +821,8 @@ def test_lane_fill_matches_the_per_entry_fill(data):
                                   "2^31", "2^32 - 1"])
 def test_lane_fill_at_lane_bounds(lane, role, budget, cut):
     # three members whose targets hold 57 and whose other entries are 0,
-    # but for one entry of the middle member, which holds the lane value
+    # but for one entry of the middle member, which holds the lane value;
+    # the floor lies at the table's end, so that every test runs
     descent = _DEEP_PATHS[0]
     residue, stride, e, p, b, steps, _, inner = descent
     cap = min(budget, verify_module._LANE_MAX)
@@ -772,6 +846,6 @@ def test_lane_fill_at_lane_bounds(lane, role, budget, cut):
              "on the way": value in (0, 57 + delta),
              "own entry": value in (0, 57 + steps)}[role]
     lanes, entries = array("I", table), array("I", table)
-    assert verify_module._fill(lanes, 1, d, 3, descent, cap) == fills
-    assert _fill_by_entries(entries, 1, d, 3, descent, cap) == fills
+    assert verify_module._fill(lanes, 1, d, 3, descent, cap, end) == fills
+    assert _fill_by_entries(entries, 1, d, 3, descent, cap, end) == fills
     assert lanes == entries
