@@ -681,17 +681,19 @@ _FLOOR_CASES = [(length, index) for length in (1, 4096, 8192, 3 * 4096 + 17)
 
 
 @pytest.mark.parametrize("first", [1, 10**12 + 1])
-@pytest.mark.parametrize("value", [1, 2**32 - 1])
 @pytest.mark.parametrize("length, index", _FLOOR_CASES)
-def test_floor_is_the_largest_value_either_store_holds(first, value, length, index):
-    table, below = verify_module._stores(first, first + 2 * (length - 1))
-    assert len(table) == length
-    assert verify_module._floor(first, table, below) == 0
-    below.update({first - 2: 5} if first > 1 else {})
-    table[index] = value
-    assert verify_module._floor(first, table, below) == first + 2 * index
-    table[0] = 3
-    assert verify_module._floor(first, table, below) == first + 2 * index
+def test_floor_is_the_largest_value_either_store_holds(first, length, index):
+    # an entry with one nonzero byte (its first, on a little-endian host),
+    # and one whose four bytes are all nonzero
+    for value in (1, 2**32 - 1):
+        table, below = verify_module._stores(first, first + 2 * (length - 1))
+        assert len(table) == length
+        assert verify_module._floor(first, table, below) == 0
+        below.update({first - 2: 5} if first > 1 else {})
+        table[index] = value
+        assert verify_module._floor(first, table, below) == first + 2 * index
+        table[0] = 3
+        assert verify_module._floor(first, table, below) == first + 2 * index
 
 
 def test_floor_of_the_dict_alone():
