@@ -9,17 +9,19 @@ and valuation at d = 18*2^m*n + offset with 54n < (3d+1)/2^m < 54(n+1), so
 only the members of a row that fails are checked one by one. The range
 sweep, which the recurrence audit runs through, keeps the stopping times it
 finds in a dense table of 4 bytes per odd value of its range, and those of
-values below its start in a dict of its own. One table of first-descent
-paths (``_sweep_paths``) splits the odd d by their residue mod 2^(e+1),
-which fixes the first odd value below d (Terras 1976; Lagarias 1985); as d
-steps along a path, that value steps by a fixed stride, so most members
-take their stopping times from slices of the table, each slice checked and
-filled as the 32-bit lanes of one int. Every other member takes one walk
-from itself, which jumps along the same first descents from each value
-above its floor, the largest value whose entry was set before the sweep.
-Above the floor every entry was stored by the sweep itself, so a fill
-there reads only its targets. Neither reads the entry of 1, and the
-report depends only on the range, the class and the budget.
+values below its start in a dict of its own. One recursion
+(``_sweep_paths``) splits the odd d by their residue mod 2^(e+1), which
+fixes the first odd value below d (Terras 1976; Lagarias 1985), and gives
+the walk's jumps too. As d steps along a path, that value steps by a fixed
+stride, so most members take their stopping times from slices of the
+table, each slice checked and filled as the 32-bit lanes of one int. One
+rule, the floor, keeps both exact: it is the largest value whose entry was
+set before the sweep, and every entry above it was stored by the sweep
+itself. Only members above the floor are filled, each fill reading only
+its targets; every other member takes one walk from itself, which jumps
+along the same first descents from each value above the floor. Neither
+reads the entry of 1, and the report depends only on the range, the class
+and the budget.
 """
 
 from __future__ import annotations
@@ -54,10 +56,9 @@ _LANES = _BLOCK_MAX >> 2
 _ONES = ((1 << 32 * _LANES) - 1) // 0xFFFFFFFF
 
 #: A fill stores no stopping time above this, so that every lane of its ints
-#: stays below 2^31: a target, a target plus the steps to a value on the
-#: way, and a filled entry then all fit in 31 bits, and no sum or test of
-#: ``_fill`` carries into the next lane. A member whose target's entry is
-#: larger walks, as one over budget does.
+#: stays below 2^31: a target and a filled entry then both fit in 31 bits,
+#: and no sum or test of ``_fill`` carries into the next lane. A member
+#: whose target's entry is larger walks, as one over budget does.
 _LANE_MAX = (1 << 31) - 1
 
 #: The range sweep fills the odd d whose first descent is fixed by a
@@ -70,24 +71,27 @@ _PATH_BITS = 12
 
 
 def _sweep_paths(class_filter: int | None):
-    """The range sweep's one path table, ``(paths, scalar)``: a partition of
-    the odd d of ``class_filter`` (all classes for None).
+    """The range sweep's one path table, ``(paths, scalar, prefixes)``: a
+    partition of the odd d of ``class_filter`` (all classes for None), and
+    the odd steps each scalar residue fixes.
 
     The residue of d mod 2^(e+1) fixes the odd-to-odd steps of d until e
     halvings (Terras 1976). One descent from d itself (c = 0) splits the odd
     d by that residue, up to d mod 2^bits. A path is the class
     d = r (mod 2^(e+1)) whose c-th odd value, the target (3^c*d + b)/2^e, is
-    the first with 3^c < 2^e, which is below d once d(2^e - 3^c) > b; the
-    paths with c = 1 hold the d with v(3d+1) = e >= 2. It is kept as
-    (residue, stride, e, 3^c, b, c + e, gap, steps): the target's table
-    index steps by gap as d steps by stride, and each of ``steps`` is
-    (3^ci, bi, ei, c + e - (ci + ei), its gap) for an odd value
-    (3^ci*d + bi)/2^ei on the way, 0 < ci < c, which lies above d as
-    3^ci > 2^ei. A scalar class (residue, stride) holds the d whose descent
-    needs bits or more halvings. Under a class filter, each residue is met
-    with the class's by the CRT."""
+    the first with 3^c < 2^e, which is below d once d(2^e - 3^c) > b, and
+    each odd value before it lies above d; the paths with c = 1 hold the d
+    with v(3d+1) = e >= 2. It is kept as (residue, stride, e, 3^c, b, c + e,
+    gap): the target's table index steps by gap as d steps by stride. A
+    scalar class (residue, stride) holds the d whose descent needs bits or
+    more halvings. Under a class filter, each residue is met with the
+    class's by the CRT. ``prefixes`` holds, for each scalar residue r mod
+    2^bits before that lift, (r, (3^c, b, e, c + e)): every odd d = r
+    reaches its c-th odd value (3^c*d + b)/2^e after c + e unit steps, the
+    last that r fixes, with it and each odd value before it above d; None
+    in place of the tuple where r fixes not even the first odd step."""
     bits = _PATH_BITS if class_filter is None else _PATH_BITS - 4  # 9 * 2^8 < 2^12
-    paths = []
+    paths, prefixes = [], []
 
     def lift(residue, modulus):
         if class_filter is None:
@@ -96,7 +100,7 @@ def _sweep_paths(class_filter: int | None):
         return next(c for c in range(residue, 9 * modulus, modulus)
                     if c % 18 == s), 9 * modulus
 
-    def descend(r, k, c, e, b, steps):
+    def descend(r, k, c, e, b):
         # d = r (mod 2^k) is at its c-th odd value (3^c*d + b)/2^e, d itself
         # or above d; k > e, so that value's parity is fixed. Returns the
         # scalar classes of the d = r (mod 2^k), whole when all of them are.
@@ -106,51 +110,37 @@ def _sweep_paths(class_filter: int | None):
             v = (x & -x).bit_length() - 1
             if v >= k:  # the next valuation depends on the bit of d at 2^k
                 if k == bits:
+                    prefixes.append((r, (p, b, e, c + e) if c else None))
                     return [(r, 1 << k)]
-                split = (descend(r, k + 1, c, e, b, steps)
-                         + descend(r | 1 << k, k + 1, c, e, b, steps))
+                split = (descend(r, k + 1, c, e, b)
+                         + descend(r | 1 << k, k + 1, c, e, b))
                 whole = [(r, 2 << k), (r | 1 << k, 2 << k)]
                 return [(r, 1 << k)] if split == whole else split
             c, e, b, p = c + 1, v, 3 * b + (1 << e), 3 * p
             if p < 1 << e:
                 residue, stride = lift(r, 2 << e)
-                paths.append((residue, stride, e, p, b, c + e, p * stride >> e + 1,
-                              tuple((3 ** ci, bi, ei, c + e - ci - ei,
-                                     3 ** ci * stride >> ei + 1)
-                                    for ci, bi, ei in steps)))
+                paths.append((residue, stride, e, p, b, c + e, p * stride >> e + 1))
                 return []
-            steps += (c, b, e),
 
-    scalar = descend(1, 1, 0, 0, 0, ())
-    return paths, [lift(r, modulus) for r, modulus in scalar]
+    scalar = descend(1, 1, 0, 0, 0)
+    return paths, [lift(r, modulus) for r, modulus in scalar], prefixes
 
 
-def _jump_table(paths) -> list:
+def _jump_table(paths, prefixes) -> list:
     """The jumps of the range sweep's walk by residue mod 2^_PATH_BITS,
-    from ``_sweep_paths(None)``'s ``paths``: entry r of the list is
-    (3^c, b, e, c + e) when every odd x = r (mod 2^_PATH_BITS) reaches its
-    c-th odd value (3^c*x + b)/2^e after c + e unit steps, with the odd
-    values between above x. For the residue of a path that value is x's
-    first descent, the first odd value below x. For a scalar residue it is
-    the last odd value that r fixes, which lies above x as each value before
-    it does; only the residue with v(3x+1) >= _PATH_BITS, where r fixes not
-    even the first odd step, is None."""
+    from ``_sweep_paths(None)``'s ``paths`` and ``prefixes``: entry r of the
+    list is (3^c, b, e, c + e) when every odd x = r (mod 2^_PATH_BITS)
+    reaches its c-th odd value (3^c*x + b)/2^e after c + e unit steps, with
+    the odd values between above x. For the residue of a path that value is
+    x's first descent, the first odd value below x; for a scalar residue it
+    is the last odd value that r fixes, above x. Only the residue with
+    v(3x+1) >= _PATH_BITS, where r fixes not even the first odd step, is
+    None."""
     jumps = [None] * (1 << _PATH_BITS)
-    for residue, stride, e, p, b, steps, _, _ in paths:
+    for residue, stride, e, p, b, steps, _ in paths:
         jumps[residue::stride] = [(p, b, e, steps)] * ((1 << _PATH_BITS) // stride)
-    for r in range(1, 1 << _PATH_BITS, 2):
-        if jumps[r] is None:
-            # walk x = r while its halvings, e in all, stay below
-            # _PATH_BITS: so far the odd steps are those of every x = r
-            x, c, e, b = r, 0, 0, 0
-            while True:
-                y = 3 * x + 1
-                s = (y & -y).bit_length() - 1
-                if e + s >= _PATH_BITS:
-                    break
-                x, c, b, e = y >> s, c + 1, 3 * b + (1 << e), e + s
-            if c:
-                jumps[r] = (3 ** c, b, e, c + e)
+    for r, prefix in prefixes:
+        jumps[r] = prefix
     return jumps
 
 
@@ -161,31 +151,23 @@ def _nonzero(v: int, low: int, top: int) -> int:
     return (((v & low) + low) | v) & top
 
 
-def _fill(table: array, first: int, d: int, n: int, descent, cap: int,
-          floor: int) -> bool:
+def _fill(table: array, first: int, d: int, n: int, descent, cap: int) -> bool:
     """Fill the entries of the n members d, d + stride, ... of one path of
     ``_sweep_paths``, ``descent``, with sigma(target) + c + e, and return
     whether it did.
 
-    Each slice of the table is read as one int of n 32-bit lanes (ONES,
-    shifted out of ``_ONES``, has 1 in every lane, TOP = ONES << 31 and
-    LOW = TOP - ONES), so each test is a few big-int operations. The fill
-    goes ahead only when every target entry T lies in [1, limit],
+    The target slice of the table is read as one int of n 32-bit lanes
+    (ONES, shifted out of ``_ONES``, has 1 in every lane, TOP = ONES << 31
+    and LOW = TOP - ONES), so each test is a few big-int operations. The
+    fill goes ahead only when every target entry T lies in [1, limit],
     limit = cap - (c + e). A lane t <= limit adds to LOW - limit without
     reaching its top bit, and t's own top bit is caught apart. cap is at
     most ``_LANE_MAX``, which keeps every lane below 2^31.
 
-    When d lies at or below ``floor``, the largest value whose entry was
-    set before the sweep (``_floor``), each odd value on the way, and each
-    member's own entry, must also hold 0 or what the walk through the
-    target gives it: T + delta, or S = T + (c + e). A value on the way
-    above the table's end gives a shorter slice, whose missing lanes test
-    as 0. Above the floor those tests cannot fail: every member, and every
-    value on the way, which lies above its member, holds 0 or an entry the
-    sweep stored as what the walk through its value gives, and that walk
-    goes through the target, whose entry it either read or stored. So
-    there only the target slice is read."""
-    _, stride, e, p, b, steps, gap, inner = descent
+    Only the targets are read: the sweep fills only members above the
+    stores' floor, where each member, and each odd value on the way, holds
+    0 or what the walk through the target gives it."""
+    _, stride, e, p, b, steps, gap = descent
     limit = cap - steps
     if limit < 1:
         return False
@@ -197,19 +179,9 @@ def _fill(table: array, first: int, d: int, n: int, descent, cap: int,
     if (_nonzero(t, low, top) != top
             or (((t & low) + (low - limit * ones)) | t) & top):
         return False
-    s = t + steps * ones
     k = (d - first) >> 1
-    cut = slice(k, k + (stride >> 1) * n, stride >> 1)
-    if d <= floor:
-        for pi, bi, ei, delta, gi in inner:
-            j = ((pi * d + bi) >> ei) - first >> 1
-            v = int.from_bytes(table[j:j + gi * n:gi], byteorder)
-            if v and _nonzero(v, low, top) & _nonzero(v ^ (t + delta * ones), low, top):
-                return False
-        v = int.from_bytes(table[cut], byteorder)
-        if v and _nonzero(v, low, top) & _nonzero(v ^ s, low, top):
-            return False
-    table[cut] = array("I", s.to_bytes(4 * n, byteorder))
+    table[k:k + (stride >> 1) * n:stride >> 1] = array(
+        "I", (t + steps * ones).to_bytes(4 * n, byteorder))
     return True
 
 
@@ -403,8 +375,10 @@ def verify_conjecture1(bound: int, start: int = 1) -> VerifyReport:
     are checked one by one, so the cost grows with the number of rows, not
     with the bound."""
     t0 = perf_counter()
+    if not 1 <= start <= bound:
+        raise ValueError(f"need 1 <= start <= bound, got [{start}, {bound}]")
     first = start if start & 1 else start + 1
-    if start < 1 or first > bound:
+    if first > bound:
         raise ValueError(f"no odd integers in [{start}, {bound}]")
     counterexamples = []
     for i, m, offset, modulus in _failing_rows(range(1, 10), bound):
@@ -516,28 +490,23 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     steps and e halvings, and the targets step by a fixed stride as d steps
     along the path. The members of a path in a block whose targets lie in
     [max(start, 3), L), where the sweep has passed, take
-    sigma(target) + c + e from one slice of the table, when every target is
-    known and within budget. When the first member lies at or below the
-    floor, each member's own entry must also be unknown or the value filled
-    in, and each odd value on the way that lies in the range hold nothing
-    or what the walk through the target gives it. Those tests are there
-    because the walk from d stops at the first known entry it meets, and
-    reports from it. Above the floor they cannot fail, since the members
-    and the values on the way all lie there, and the walk through each of
-    them reaches the target: such a fill reads the target slice only, and
-    a target at or below the floor as it is, as the walk reads it. A fill
-    reads each slice as one int of 32-bit lanes and makes each test with a
-    few big-int operations (``_fill``). Every other member walks from d
-    itself until 1 or a known entry of either store, then stores the values
-    it landed on that either store admits. From a value x above the floor
-    the walk jumps by x mod 2^12 (``_jump_table``): to the first odd value
-    below x, or for a scalar residue along the odd steps that the residue
-    fixes; from any other x it takes one odd step, as it does from the one
-    residue that fixes no step. The odd values a jump passes lie above x,
-    so above the floor: where a walk of odd steps would stop at such an
-    entry, the jump reaches the same sum. Steps only grow, so a walk that
-    crosses the budget inside a jump is deferred as the odd steps would
-    defer it.
+    sigma(target) + c + e from one slice of the table, when the first of
+    them lies above the floor and every target is known and within budget
+    (``_fill``). The walk from d stops at the first known entry it meets,
+    and reports from it; above the floor each member, and each odd value
+    on the way, which lies above its member, holds 0 or what the walk
+    through the target gives it, so the fill reads the target slice only,
+    and a target at or below the floor as it is, as the walk reads it.
+    Every other member walks from d itself until 1 or a known entry of
+    either store, then stores the values it landed on that either store
+    admits. From a value x above the floor the walk jumps by x mod 2^12
+    (``_jump_table``): to the first odd value below x, or for a scalar
+    residue along the odd steps that the residue fixes; from any other x it
+    takes one odd step, as it does from the one residue that fixes no step.
+    The odd values a jump passes lie above x, so above the floor: where a
+    walk of odd steps would stop at such an entry, the jump reaches the
+    same sum. Steps only grow, so a walk that crosses the budget inside a
+    jump is deferred as the odd steps would defer it.
 
     sigma(d) is its table entry, or what its walk gives when it has none;
     a counterexample names it as sigma(target) + m + 1, for
@@ -590,10 +559,12 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
                     d, f"next odd strictly inside (54*{n}, 54*{n + 1})",
                     str((3 * d + 1) >> m)))
 
-    paths, scalar_classes = _sweep_paths(class_filter)
+    paths, scalar_classes, prefixes = _sweep_paths(None)
     # a walk leaves the class at once, and a class's paths are lifted mod
-    # 9*2^(e+1), so the jumps come from the paths of every class
-    jumps = _jump_table(paths if class_filter is None else _sweep_paths(None)[0])
+    # 9*2^(e+1), so the jumps come from the table of every class
+    jumps = _jump_table(paths, prefixes)
+    if class_filter is not None:
+        paths, scalar_classes, _ = _sweep_paths(class_filter)
     jump_mask = len(jumps) - 1
     cap = min(budget, _LANE_MAX)
     table, below = _stores(first, end)
@@ -620,7 +591,10 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
             # the block, where the sweep has passed
             j = max(0, -((p * d + b - (known_min << e)) // (p * stride)))
             n = min(len(members), (((low << e) - b - 1) // p - d) // stride + 1) - j
-            if n > 0 and _fill(table, first, members[j], n, descent, cap, floor):
+            # a fill at or below the floor could pass an entry set before
+            # the sweep, at which the walk would stop: those members walk
+            if n > 0 and members[j] > floor and _fill(
+                    table, first, members[j], n, descent, cap):
                 scalar.append(members[:j])
                 members = members[j + n:]
             if members:

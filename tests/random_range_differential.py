@@ -15,8 +15,10 @@ A trial draws:
   cold stores, adds wrong entries in the below-start dict and mostly in
   the table, the entry of 1 included, some of them at the 32-bit lane
   bounds; low-poisoned adds them to the lower part of the table only, so
-  that the floor lies inside the range and the fills above it read only
-  their targets, some of which are poisoned;
+  that the floor lies inside the range: the members at or below it must
+  walk, as the reference does, and the fills above it read only their
+  targets, some of which are poisoned. From 1, half of them poison only
+  the entry of 1, which no fill or walk may read;
 - in about a third of the trials, one progression row moved off its true
   offset or modulus. The members whose reconstruction then fails are left
   out of the stored comparison: neither sweep walks them, and only the
@@ -148,8 +150,14 @@ def stores_of(trial: Trial, make):
 
         if low:
             # wrong entries, the entry of 1 included, below a cut in the
-            # lower half of the table: the floor lies below the cut
+            # lower half of the table: the floor lies below the cut. From 1,
+            # half of them poison the entry of 1 alone, with a stopping time
+            # a fill would take: on a cold table the floor is then 1, and
+            # the fills from 5 on, whose targets include 1, lie above it
             cut = rng.randrange((len(table) >> 1) + 1)
+            if first == 1 and rng.random() < 0.5:
+                cut = 0
+                table[0] = rng.randrange(1, 250)
             for k in rng.sample(range(cut), min(cut, 30)):
                 table[k] = wrong()
             if first == 1 and cut:

@@ -522,5 +522,6 @@ def test_help_exits_zero(capsys):
     ("verify", "range", "--end", "9", "--threads", "0"),
 ])
 def test_usage_errors(capsys, argv):
-    code, _, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv)
     assert code == 2
+    assert out == ""

@@ -8,12 +8,15 @@ the call must catch the mutant, and must not catch the unpatched module,
 so that no row passes on a check that cannot fail. The range sweep's rows
 compare its report with the per-d reference sweep in ``oracles.py``, or the
 stopping times it stored with the unit-step walk's. The rows outside the
-sweep compare ``sigma_infinity`` with the unit-step walk and
-``digit_root_class`` with ``residue_class``, and run the cover audit.
+sweep compare ``sigma_infinity`` with the unit-step walk,
+``digit_root_class`` with ``residue_class`` and ``derive_profile`` with the
+checked-in reference rows, run the cover audit, and run the theorem1 proof
+on a row moved out of its range.
 """
 
+import json
 from pathlib import Path
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -22,6 +25,7 @@ from collatz_cover import derive_profile, report_to_json, residue_class
 from oracles import reference_range_sweep, unit_step_sigma, unit_step_sigma_memo
 
 SOURCE_DIR = Path(collatz_cover.__file__).parent
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def _poisoned(make, poison):
@@ -92,6 +96,37 @@ def digit_root_class_differs(module):
         return True
 
 
+def profiles_differ(module):
+    """Catches a ``covering`` mutant whose derive_profile differs from the
+    162 rows of ``data/reference_tables.json``, or raises on one: its own
+    asserts may fire before a row is returned."""
+    rows = json.loads((DATA_DIR / "reference_tables.json").read_text())["profiles"]
+    try:
+        return any((p.v_offset, p.d_offset, p.d_modulus)
+                   != (row["v_offset"], row["d_offset"], row["d_coeff"])
+                   for row in rows for p in [module.derive_profile(row["i"], row["m"])])
+    except Exception:
+        return True
+
+
+def theorem1_misses_a_shifted_row(module):
+    """Catches a ``verify`` mutant whose theorem1 proof of the rows m <= 5,
+    with row (2, 3) moved one modulus up, lists other counterexamples than
+    the two that row fails on: its offset outside [0, modulus), and its
+    landing residue, 54 more than the true one. An in-range row cannot
+    fail the second alone: an offset in [0, 18*2^m) with 2^m | 3*offset + 1
+    lands on an odd a <= 53."""
+    true = derive_profile(2, 3)
+    shifted = SimpleNamespace(d_modulus=true.d_modulus,
+                              d_offset=true.d_offset + true.d_modulus,
+                              next_offset=true.next_offset + 54)
+    module.derive_profile = (
+        lambda i, m: shifted if (i, m) == (2, 3) else derive_profile(i, m))
+    return module.verify_theorem1_symbolic(5).counterexamples != (
+        ("(i=2, m=3)", f"offset in [0, {true.d_modulus})", str(shifted.d_offset)),
+        ("(i=2, m=3)", "odd landing residue below 54", str(shifted.next_offset)))
+
+
 def cover_audit_fails(module):
     """Catches a ``verify`` mutant under which the exactly-once cover of
     the odd d <= 2001 by the rows m <= 18 no longer passes."""
@@ -110,16 +145,13 @@ ROWS = [
      stored_sigma_differs(1, 2001), "fill adds e in place of c + e"),
     ("verify", "b, c + e, p * stride", "b, c + e - 1, p * stride",
      stored_sigma_differs(1, 2001), "fill adds c + e - 1"),
-    ("verify", "_nonzero(v ^ s, low, top)", "0",
+    # 13's entry sets the floor at 13, so 13, the first member of the path
+    # 16k + 13 in its block, must walk to its entry, not be filled from 5:
+    # neither with the guard gone nor with the floor itself let through
+    ("verify", "members[j] > floor and ", "",
+     report_differs(1, 101, poison={13: 10}), "fill at or below the floor"),
+    ("verify", "members[j] > floor", "members[j] >= floor",
      report_differs(1, 101, poison={13: 10}), "fill overwrites stored entries"),
-    # 13's entry sets the floor at 13, so the fill of 13 from 5 must still
-    # test 13's own entry
-    ("verify", "if d <= floor:", "if d < 0:",
-     report_differs(1, 101, poison={13: 10}),
-     "fill skips its tests at or below the floor"),
-    ("verify", "_nonzero(v ^ (t + delta * ones), low, top)", "0",
-     report_differs(1, 20001, poison={15005: 7, 10003: 65}),
-     "fill passes a stored value on the way"),
     # 5 is the target of 13, on the path 16k + 13; without the top bit, the
     # lane 2^31 + 3 reads as 3, within the limit
     ("verify", "(((t & low) + (low - limit * ones)) | t) & top",
@@ -130,8 +162,7 @@ ROWS = [
      stored_sigma_differs(1, 2001), "jump adds c + e - 1"),
     # 27 is a scalar residue mod 2^12: its jump is the prefix of 8 odd
     # steps, 19 unit steps, to 91, still above 27
-    ("verify", "jumps[r] = (3 ** c, b, e, c + e)",
-     "jumps[r] = (3 ** c, b, e, c + e + 1)",
+    ("verify", "(p, b, e, c + e) if c", "(p, b, e, c + e + 1) if c",
      stored_sigma_differs(1, 2001), "prefix jump adds one step"),
     # 103 -> 155 is one odd step, to a value in the range, whose entry was
     # set before the sweep: the walk from 103 stops at it, so it must not
@@ -156,6 +187,17 @@ ROWS = [
      digit_root_class_differs, "digit root takes the even lift"),
     ("verify", "p.d_modulus // 2", "p.d_modulus // 2 + 1",
      cover_audit_fails, "cover counts by a wrong stride"),
+    ("covering", "d_offset = t + two * k\n",
+     "d_offset = t + two * k + 18 * ((i, m) == (2, 3))\n",
+     profiles_differ, "profile shifts one row's offset"),
+    # some rows still pass the asserts: an odd x < 9*2^m with
+    # 2^m | 3x + 1 and a valuation of exactly m
+    ("covering", "two = 1 << (m + 1)", "two = 1 << m",
+     profiles_differ, "profile solves its CRT mod 2^m"),
+    ("verify", "if not 0 <= offset < modulus:", "if False:",
+     theorem1_misses_a_shifted_row, "row proof drops the offset range"),
+    ("verify", "elif not (a & 1 and a < 54):", "elif not a & 1:",
+     theorem1_misses_a_shifted_row, "row proof drops a < 54"),
 ]
 
 

@@ -106,10 +106,13 @@ def test_conjecture1_single_values():
 
 
 def test_conjecture1_rejects_empty_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^no odd integers in \[4, 4\]$"):
         verify_conjecture1(4, start=4)
-    with pytest.raises(ValueError):
-        verify_conjecture1(10, start=0)
+    # 1, 3 and 5 are odd: a start below 1 is out of bounds, not empty
+    with pytest.raises(ValueError, match=r"^need 1 <= start <= bound, got \[0, 5\]$"):
+        verify_conjecture1(5, start=0)
+    with pytest.raises(ValueError, match=r"^need 1 <= start <= bound, got \[11, 10\]$"):
+        verify_conjecture1(10, start=11)
 
 
 def test_conjecture1_proves_every_odd_integer_to_a_googol():
@@ -433,12 +436,12 @@ def test_range_flags_a_poisoned_entry_met_by_a_slice(monkeypatch):
 def test_range_flags_a_poisoned_value_on_a_descent(monkeypatch):
     # 10003 -> 15005 -> 5627 is the first descent of 10003, on the c = 2 path
     # mod 32, whose members the sweep fills from their targets' entries. The
-    # walk from 10003 stops at 15005's entry, so the fill must not pass it
-    paths, _ = verify_module._sweep_paths(None)
-    ((_, _, e, p, b, steps, _, inner),) = [x for x in paths if x[:2] == (10003 % 32, 32)]
-    ((pi, bi, ei, _, _),) = inner
-    assert (p * 10003 + b) >> e == 5627 and (pi * 10003 + bi) >> ei == 15005
-    assert steps == 6
+    # walk from 10003 stops at 15005's entry, so the fill must not pass it:
+    # 15005's entry sets the stores' floor, and the members below it walk
+    assert unit_step_odd_descent(10003) == [(15005, 2), (5627, 6)]
+    paths, _, _ = verify_module._sweep_paths(None)
+    ((_, _, e, p, b, steps, _),) = [x for x in paths if x[:2] == (10003 % 32, 32)]
+    assert (p * 10003 + b) >> e == 5627 and steps == 6
 
     def poison(first, table):
         table[(15005 - first) >> 1] = 7
@@ -597,7 +600,7 @@ def test_range_reports_as_the_per_d_sweep_on_random_shapes(trial):
 @pytest.mark.parametrize("class_filter", [None, 4, 9])
 def test_every_odd_value_lies_in_one_fill_path_or_scalar_class(class_filter):
     end = 2**17
-    paths, scalar = verify_module._sweep_paths(class_filter)
+    paths, scalar, _ = verify_module._sweep_paths(class_filter)
     hits = array("I", [0]) * (end // 2)
     for residue, stride in [x[:2] for x in paths] + scalar:
         for d in range(residue, end, stride):
@@ -609,24 +612,22 @@ def test_every_odd_value_lies_in_one_fill_path_or_scalar_class(class_filter):
 
 @pytest.mark.parametrize("class_filter", [None, 4])
 def test_fill_paths_follow_the_unit_step_walk(class_filter):
-    # each path's target is the first odd value below d, c + e unit steps
-    # on, and the odd values between lie above d, as the unit steps find
+    # each path's target is the first odd value below d, c odd steps and
+    # c + e unit steps on, as the unit steps find
     limit = 2 ** (verify_module._PATH_BITS + 2)
-    paths, _ = verify_module._sweep_paths(class_filter)
+    paths, _, _ = verify_module._sweep_paths(class_filter)
     checked = 0
-    for residue, stride, e, p, b, steps, gap, inner in paths:
+    for residue, stride, e, p, b, steps, gap in paths:
         assert p * stride >> e == 2 * gap
+        assert p == 3 ** (steps - e)
         for d in range(residue, limit, stride):
             target = (p * d + b) >> e
             if target >= d:
                 continue
-            odds = [((pi * d + bi) >> ei, steps - delta)
-                    for pi, bi, ei, delta, gi in inner]
-            assert odds + [(target, steps)] == unit_step_odd_descent(d), d
-            assert all(x > d for x, _ in odds)
+            descent = unit_step_odd_descent(d)
+            assert descent[-1] == (target, steps), d
+            assert len(descent) == steps - e, d
             checked += 1
-        for pi, bi, ei, delta, gi in inner:
-            assert pi * stride >> ei == 2 * gi
     assert checked > limit // (27 if class_filter else 3)
 
 
@@ -635,8 +636,8 @@ def test_jump_table_follows_the_unit_step_walk():
     # unit steps on, and every odd value before it lies above x: for a
     # path's residue that value is x's first descent, for a scalar residue
     # it is the last that r fixes, still above x. Small x included
-    paths, _ = verify_module._sweep_paths(None)
-    jumps = verify_module._jump_table(paths)
+    paths, _, prefixes = verify_module._sweep_paths(None)
+    jumps = verify_module._jump_table(paths, prefixes)
     modulus = 1 << verify_module._PATH_BITS
     assert len(jumps) == modulus
     assert all(entry is None for entry in jumps[::2])
@@ -705,32 +706,22 @@ def test_floor_of_the_dict_alone():
 
 # ------------------------------------------------ the fill's lane kernel
 
-def _fill_by_entries(table, first, d, n, descent, cap, floor):
+def _fill_by_entries(table, first, d, n, descent, cap):
     """``verify._fill`` one entry at a time: the n members' targets must
-    hold 1..cap - (c + e), and when d <= floor each value on the way in the
-    table, and each member's own entry, 0 or what the walk through the
-    target gives it."""
-    _, stride, e, p, b, steps, _, inner = descent
+    hold 1..cap - (c + e), and each member's entry is then its target's
+    plus c + e."""
+    _, stride, e, p, b, steps, _ = descent
     members = range(d, d + stride * n, stride)
     sigmas = [table[(((p * y + b) >> e) - first) >> 1] for y in members]
     if not all(1 <= s <= cap - steps for s in sigmas):
         return False
-    if d <= floor:
-        for pi, bi, ei, delta, _ in inner:
-            for y, s in zip(members, sigmas):
-                k = (((pi * y + bi) >> ei) - first) >> 1
-                if k < len(table) and table[k] not in (0, s + delta):
-                    return False
-        if any(table[(y - first) >> 1] not in (0, s + steps)
-               for y, s in zip(members, sigmas)):
-            return False
     for y, s in zip(members, sigmas):
         table[(y - first) >> 1] = s + steps
     return True
 
 
-# the paths with at least two odd values on the way
-_DEEP_PATHS = [x for x in verify_module._sweep_paths(None)[0] if len(x[-1]) >= 2]
+# the paths with at least two odd values on the way to the target
+_DEEP_PATHS = [x for x in verify_module._sweep_paths(None)[0] if x[3] >= 27]
 
 
 def _lane_values(limit):
@@ -740,80 +731,36 @@ def _lane_values(limit):
             if 0 <= v < 2**32]
 
 
-def _draw_fill_case(data, below_members=False):
-    """A path, its first member d, a member count n, the end, the cap, a
-    floor and a table over [1, end] as the sweep leaves it: each target
-    holds a stopping time in [1, limit], and each value on the way and
-    each member's own entry 0 or what the walk through the target gives
-    it. With ``below_members`` the floor lies below d, and a target at or
-    below it may hold any lane value, which the walks through it read as
-    it is; else the floor is None. Also the targets, and the values on the
-    way and members whose entries were drawn."""
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lane_fill_matches_the_per_entry_fill(data):
+    # a path, its first member d, a member count n whose targets all lie
+    # below d, as in a block of the sweep, and a table over [1, end] whose
+    # targets hold stopping times or lane values at a bound, and whose
+    # members hold 0 or what the walk through the target gives them, as
+    # above the stores' floor
     descent = data.draw(st.sampled_from(_DEEP_PATHS))
-    _, stride, e, p, b, steps, _, inner = descent
-    # members far enough up that their targets lie below them
+    _, stride, e, p, b, steps, _ = descent
     d = descent[0] + stride * data.draw(st.integers(b // stride + 1, b // stride + 40))
-    # as in a block of the sweep, every target lies below the members
     n = next(k for k in range(data.draw(st.integers(1, 6)), 0, -1)
              if (p * (d + stride * (k - 1)) + b) >> e < d)
-    floor = data.draw(st.integers(0, d - 1)) if below_members else None
     members = range(d, d + stride * n, stride)
-    on_way = [((pi * y + bi) >> ei, delta)
-              for y in members for pi, bi, ei, delta, _ in inner]
-    # an end below some values on the way cuts their slices short
-    top = max(y for y, _ in on_way)
-    end = data.draw(st.one_of(st.just(top), st.integers(members[-1], top)))
+    end = members[-1] + 2 * data.draw(st.integers(0, 40))
     budget = data.draw(st.sampled_from(
         [steps - 1, steps, steps + 1, steps + 200, 10**7, 10**7, 2**31 + 5]))
     cap = min(budget, verify_module._LANE_MAX)
     limit = cap - steps
+    sigmas = [1, max(1, limit), min(57, max(1, limit))] + _lane_values(limit)
     table = array("I", [0]) * ((end - 1) // 2 + 1)
-    targets, slots = [], []
-    for j, y in enumerate(members):
-        target = (p * y + b) >> e
-        sigmas = [1, max(1, limit), min(57, max(1, limit))]
-        if floor is not None and target <= floor:
-            sigmas += _lane_values(limit)
+    for y in members:
         sigma = data.draw(st.sampled_from(sigmas))
-        table[(target - 1) >> 1] = sigma
-        targets.append(target)
-        for x, delta in on_way[j * len(inner):(j + 1) * len(inner)] + [(y, steps)]:
-            if x <= end:
-                walked = [0, sigma + delta] if sigma + delta < 2**32 else [0]
-                table[(x - 1) >> 1] = data.draw(st.sampled_from(walked))
-                slots.append(x)
-    return descent, d, n, end, cap, floor, table, targets, slots
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_lane_fill_matches_the_per_entry_fill(data):
-    # a table the fill accepts, with up to two entries then set to a lane
-    # value at a bound, and a floor at or above the members, so that every
-    # test runs
-    descent, d, n, end, cap, _, table, targets, slots = _draw_fill_case(data)
-    special = _lane_values(cap - descent[5])
-    for x in data.draw(st.lists(st.sampled_from(targets + slots), max_size=2)):
-        table[(x - 1) >> 1] = data.draw(st.sampled_from(special))
-    floor = data.draw(st.integers(d, end))
+        table[(((p * y + b) >> e) - 1) >> 1] = sigma
+        walked = [0, sigma + steps] if sigma + steps < 2**32 else [0]
+        table[(y - 1) >> 1] = data.draw(st.sampled_from(walked))
     lanes, entries = array("I", table), array("I", table)
-    got = verify_module._fill(lanes, 1, d, n, descent, cap, floor)
-    assert got == _fill_by_entries(entries, 1, d, n, descent, cap, floor)
+    got = verify_module._fill(lanes, 1, d, n, descent, cap)
+    assert got == _fill_by_entries(entries, 1, d, n, descent, cap)
     assert lanes == entries
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_lane_fill_above_the_floor_reads_only_targets(data):
-    # a floor below the members, on a table whose entries above it are what
-    # the walk through each target gives: the fill that reads only the
-    # targets fills as the fill that tests every entry does
-    descent, d, n, end, cap, floor, table, _, _ = _draw_fill_case(data, True)
-    lanes, entries, tested = array("I", table), array("I", table), array("I", table)
-    got = verify_module._fill(lanes, 1, d, n, descent, cap, floor)
-    assert got == _fill_by_entries(entries, 1, d, n, descent, cap, floor)
-    assert got == _fill_by_entries(tested, 1, d, n, descent, cap, end)
-    assert lanes == entries == tested
 
 
 @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut short by end"])
@@ -823,31 +770,30 @@ def test_lane_fill_above_the_floor_reads_only_targets(data):
                                   "2^31", "2^32 - 1"])
 def test_lane_fill_at_lane_bounds(lane, role, budget, cut):
     # three members whose targets hold 57 and whose other entries are 0,
-    # but for one entry of the middle member, which holds the lane value;
-    # the floor lies at the table's end, so that every test runs
+    # but for one entry of the middle member, which holds the lane value.
+    # Only a target's lane decides the fill: the sweep fills only above the
+    # stores' floor, so the fill reads no value on the way, nor a member's
+    # own entry, which it overwrites, and a table cut short below the
+    # values on the way fills as a whole one
     descent = _DEEP_PATHS[0]
-    residue, stride, e, p, b, steps, _, inner = descent
+    residue, stride, e, p, b, steps, _ = descent
     cap = min(budget, verify_module._LANE_MAX)
     limit = cap - steps
     value = {"0": 0, "1": 1, "limit": limit, "limit + 1": limit + 1,
              "2^31 - 1": 2**31 - 1, "2^31": 2**31, "2^32 - 1": 2**32 - 1}[lane]
     d = residue + stride * (b // stride + 1)
     members = [d, d + stride, d + 2 * stride]
-    pi, bi, ei, delta, _ = inner[0]
-    on_way = [(pi * y + bi) >> ei for y in members]
-    end = on_way[-1] - 2 if cut else max((qi * members[-1] + ci) >> fi
-                                         for qi, ci, fi, _, _ in inner)
+    on_way = [unit_step_odd_descent(y)[:-1] for y in members]
+    end = on_way[-1][0][0] - 2 if cut else max(x for x, _ in on_way[-1])
     table = array("I", [0]) * ((end - 1) // 2 + 1)
     for y in members:
         table[(((p * y + b) >> e) - 1) >> 1] = 57
-    slot = {"target": (p * members[1] + b) >> e, "on the way": on_way[1],
+    slot = {"target": (p * members[1] + b) >> e, "on the way": on_way[1][0][0],
             "own entry": members[1]}[role]
     assert slot <= end
     table[(slot - 1) >> 1] = value
-    fills = {"target": 1 <= value <= limit,
-             "on the way": value in (0, 57 + delta),
-             "own entry": value in (0, 57 + steps)}[role]
+    fills = role != "target" or 1 <= value <= limit
     lanes, entries = array("I", table), array("I", table)
-    assert verify_module._fill(lanes, 1, d, 3, descent, cap, end) == fills
-    assert _fill_by_entries(entries, 1, d, 3, descent, cap, end) == fills
+    assert verify_module._fill(lanes, 1, d, 3, descent, cap) == fills
+    assert _fill_by_entries(entries, 1, d, 3, descent, cap) == fills
     assert lanes == entries
