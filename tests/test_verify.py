@@ -763,7 +763,59 @@ def test_lane_fill_matches_the_per_entry_fill(data):
     assert lanes == entries
 
 
-@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut short by end"])
+def _fill_testing_every_entry(table, first, d, n, descent, cap):
+    """``_fill_by_entries`` that also tests each odd value on the way in the
+    table, and each member's own entry: each must hold 0 or what the walk
+    through the target gives it."""
+    _, stride, e, p, b, steps, _ = descent
+    for y in range(d, d + stride * n, stride):
+        sigma = table[(((p * y + b) >> e) - first) >> 1]
+        for x, delta in unit_step_odd_descent(y)[:-1] + [(y, 0)]:
+            k = (x - first) >> 1
+            if k < len(table) and table[k] not in (0, sigma + steps - delta):
+                return False
+    return _fill_by_entries(table, first, d, n, descent, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lane_fill_above_the_floor_reads_only_targets(data):
+    # a table as the sweep leaves it above the stores' floor: each target
+    # holds a stopping time, and each odd value on the way and each
+    # member's own entry 0 or what the walk through the target gives it.
+    # The fill that reads only the targets fills as one that also tests
+    # every other entry does
+    descent = data.draw(st.sampled_from(_DEEP_PATHS))
+    _, stride, e, p, b, steps, _ = descent
+    d = descent[0] + stride * data.draw(st.integers(b // stride + 1, b // stride + 40))
+    n = next(k for k in range(data.draw(st.integers(1, 6)), 0, -1)
+             if (p * (d + stride * (k - 1)) + b) >> e < d)
+    members = range(d, d + stride * n, stride)
+    walks = [unit_step_odd_descent(y) for y in members]
+    # an end below some values on the way cuts their slices short
+    top = max(x for walk in walks for x, _ in walk)
+    end = data.draw(st.one_of(st.just(top), st.integers(members[-1], top)))
+    budget = data.draw(st.sampled_from(
+        [steps - 1, steps, steps + 1, steps + 200, 10**7, 2**31 + 5]))
+    cap = min(budget, verify_module._LANE_MAX)
+    limit = cap - steps
+    table = array("I", [0]) * ((end - 1) // 2 + 1)
+    for y, walk in zip(members, walks):
+        assert walk[-1] == ((p * y + b) >> e, steps)
+        sigma = data.draw(st.sampled_from([1, max(1, limit), min(57, max(1, limit))]))
+        table[(walk[-1][0] - 1) >> 1] = sigma
+        for x, delta in walk[:-1] + [(y, 0)]:
+            if x <= end:
+                walked = sigma + steps - delta
+                table[(x - 1) >> 1] = data.draw(st.sampled_from([0, walked]))
+    lanes, entries, tested = array("I", table), array("I", table), array("I", table)
+    got = verify_module._fill(lanes, 1, d, n, descent, cap)
+    assert got == _fill_by_entries(entries, 1, d, n, descent, cap)
+    assert got == _fill_testing_every_entry(tested, 1, d, n, descent, cap)
+    assert lanes == entries == tested
+
+
+@pytest.mark.parametrize("cut",[False, True], ids=["whole", "cut short by end"])
 @pytest.mark.parametrize("budget", [10**7, 2**31 + 5])
 @pytest.mark.parametrize("role", ["target", "on the way", "own entry"])
 @pytest.mark.parametrize("lane", ["0", "1", "limit", "limit + 1", "2^31 - 1",
