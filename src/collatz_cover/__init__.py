@@ -18,7 +18,7 @@ _SOURCES = {
                  "cyclic_recurrence_check", "derive_profile",
                  "digit_root_class", "digital_root", "residue_class"),
     "mapgen": ("SchemaTable", "SigmaSchemaTable", "build_schema",
-               "build_sigma_schema", "render", "render_str"),
+               "build_sigma_schema", "render_str"),
     "reports": ("Counterexample", "Deferred", "VerifyReport", "build_report",
                 "report_to_json", "report_to_text"),
     "verify": ("cover_audit", "verify_conjecture1", "verify_cyclic",

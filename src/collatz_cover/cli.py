@@ -16,19 +16,19 @@ import sys
 
 from .arith import BudgetExceededError, DEFAULT_BUDGET, sigma_infinity
 from .covering import ProfileTable, classify, digit_root_class, residue_class
-from .reports import (OUTCOME_DEFERRED, OUTCOME_PASS, aligned, render_rows,
-                      report_to_json, report_to_text)
+from .reports import (FORMATS, OUTCOME_DEFERRED, OUTCOME_PASS, aligned,
+                      format_progression, render_rows, report_to_json,
+                      report_to_text)
 
 #: Names of the modules that only some commands run: verify for the verify
-#: command, mapgen for map and table's text form. ``_load`` binds them here
-#: on first use and the handlers call them as globals, so a wrapper already
-#: set on this module (the benchmark's tracer sets some) is the one called.
+#: command, mapgen for map. ``_load`` binds them here on first use and the
+#: handlers call them as globals, so a wrapper already set on this module
+#: (the benchmark's tracer sets some) is the one called.
 _DEFERRED = {
     "verify": ("cover_audit", "verify_conjecture1", "verify_cyclic",
                "verify_range", "verify_sigma_relation",
                "verify_theorem1_symbolic"),
-    "mapgen": ("build_schema", "build_sigma_schema", "format_progression",
-               "render_str"),
+    "mapgen": ("build_schema", "build_sigma_schema", "render_str"),
 }
 
 
@@ -77,7 +77,7 @@ class Config:
             raise UsageError(f"max_m must be >= 1, got {self.max_m}")
         if self.budget < 1:
             raise UsageError(f"budget must be >= 1, got {self.budget}")
-        if self.output_format not in ("text", "csv", "json"):
+        if self.output_format not in FORMATS:
             raise UsageError(f"unknown format {self.output_format!r}")
 
 
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="unit-step ceiling per stopping-time input")
     common.add_argument("--cache", metavar="FILE",
                         help="ignored: no stopping-time cache file is kept")
-    common.add_argument("--format", choices=("text", "csv", "json"),
+    common.add_argument("--format", choices=FORMATS,
                         help="output format (default text)")
     common.add_argument("--threads", type=int,
                         help="ignored (must be >= 1): sweeps run serially")
@@ -227,7 +227,6 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _table_text(rows: list[dict]) -> str:
-    _load("mapgen")
     return aligned([("i", "r", "m", "v_offset", "odd", "even", "next")] + [
         (str(r["i"]), str(r["r"]), str(r["m"]), str(r["v_offset"]),
          format_progression(r["d_modulus"], r["d_offset"]),

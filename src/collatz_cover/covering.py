@@ -18,16 +18,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import _require_odd, two_adic_valuation
-from .reports import rows_to_csv, rows_to_json
 
 #: The reordering of the odd residues mod 18 that makes d -> 4d+1 advance the
 #: class index by one (wrapping 9 -> 1).
 RESIDUE_ORDER = (1, 5, 3, 13, 17, 15, 7, 11, 9)
 
 _CLASS_OF = {r: i for i, r in enumerate(RESIDUE_ORDER, start=1)}
-
-CSV_HEADER = ("i", "r", "m", "v_offset", "d_offset", "d_modulus",
-              "even_offset", "even_modulus", "next_offset")
 
 
 def residue_class(d: int) -> int:
@@ -139,12 +135,6 @@ class ProfileTable(NamedTuple):
 
     def column(self, i: int) -> tuple[Profile, ...]:
         return self.rows[(i - 1) * self.max_m: i * self.max_m]
-
-    def to_csv(self, sink) -> None:
-        sink.write(rows_to_csv([p.row_dict() for p in self.rows]))
-
-    def to_json(self) -> str:
-        return rows_to_json([p.row_dict() for p in self.rows])
 
 
 def cyclic_recurrence_check(i: int, d: int) -> bool:

@@ -10,13 +10,15 @@ The generalized map arranges, per class column, three stacked sections:
 The stopping-time map carries the same layout symbolically: the three
 sections of row (i, m) read sigma(54n+a)+(m+1), sigma(54n+a)+m, and
 sigma(54n+a). Both maps hold the table's ``Profile`` rows and differ only in
-how a row renders. All builders are pure; renderers write deterministic bytes.
+how a row renders. All builders are pure; the renderer returns deterministic
+text, which the CLI writes.
 """
 
 from __future__ import annotations
 
 from .covering import Profile, ProfileTable
-from .reports import FORMATS, aligned, rows_to_csv
+from .reports import (FORMATS, aligned, format_progression, json_text,
+                      rows_to_csv)
 
 
 class SchemaTable(ProfileTable):
@@ -85,10 +87,6 @@ def build_sigma_schema(max_m: int) -> SigmaSchemaTable:
     return SigmaSchemaTable(max_m, ProfileTable.build(max_m).rows)
 
 
-def format_progression(modulus: int, offset: int, starred: bool = False) -> str:
-    return f"{modulus}n + {offset}" + ("*" if starred else "")
-
-
 def format_sigma_term(base_residue: int, increment: int) -> str:
     term = f"σ∞(54n+{base_residue})"
     return f"{term}+{increment}" if increment else term
@@ -106,18 +104,9 @@ def render_str(table, fmt: str) -> str:
     if fmt == "csv":
         return rows_to_csv([table.csv_row(p) for p in table.rows])
     if fmt == "json":
-        import json  # imported on use, as in reports
         classes = {str(i): [table.json_row(p) for p in table.column(i)]
                    for i in range(1, 10)}
-        return json.dumps({"kind": table.kind, "max_m": table.max_m,
-                           "classes": classes}, indent=2) + "\n"
+        return json_text({"kind": table.kind, "max_m": table.max_m,
+                          "classes": classes})
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
-
-def render(table, fmt: str, sink) -> None:
-    """Render into a writable text sink; write failures carry context."""
-    text = render_str(table, fmt)
-    try:
-        sink.write(text)
-    except OSError as exc:
-        raise OSError(f"failed writing {fmt} output: {exc}") from exc

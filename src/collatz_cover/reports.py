@@ -1,15 +1,17 @@
 """Machine-readable outcomes for theorem, conjecture, and range audits, and
-the one text/CSV/JSON renderer that every row listing goes through.
+the one home of every output decision: the formats, the JSON style, the
+text/CSV/JSON renderer of every row listing, and the text cells. Functions
+here return text; the CLI writes it.
 
 A report fails exactly when it carries counterexamples; checks that were
 skipped for a stated reason (valuation deeper than the table, budget
 exhaustion) land in ``deferred`` and, absent failures, make the outcome
 "deferred" rather than "fail".
 
-Serialized JSON omits timing by default so identical runs produce identical
-bytes; pass ``include_elapsed=True`` to embed ``elapsed_ms``. ``json`` and
-``csv`` are imported by the functions that use them: most commands render
-neither, and start-up is most of the cost of a short command.
+Rendered reports carry no timing, so identical runs produce identical
+bytes. ``json`` and ``csv`` are imported by the functions that use them:
+most commands render neither, and start-up is most of the cost of a short
+command.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ OUTCOME_FAIL = "fail"
 OUTCOME_DEFERRED = "deferred"
 
 FORMATS = ("text", "csv", "json")
+
+MAX_LISTED = 10  # counterexamples, and deferrals, a text report lists
 
 
 class Counterexample(NamedTuple):
@@ -62,7 +66,13 @@ def build_report(check_name: str, parameters: dict[str, Any], *,
                         deferred, items_checked, elapsed_s, dict(details or {}))
 
 
-def report_to_json(report: VerifyReport, include_elapsed: bool = False) -> str:
+def json_text(obj: Any) -> str:
+    """The JSON style of every output: two-space indent, a final newline."""
+    import json
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def report_to_json(report: VerifyReport) -> str:
     """Canonical JSON rendering; byte-identical for identical content."""
     obj: dict[str, Any] = {
         "check_name": report.check_name,
@@ -76,13 +86,10 @@ def report_to_json(report: VerifyReport, include_elapsed: bool = False) -> str:
         "items_checked": report.items_checked,
         "details": report.details,
     }
-    if include_elapsed:
-        obj["elapsed_ms"] = report.elapsed_s * 1000.0
-    import json
-    return json.dumps(obj, indent=2) + "\n"
+    return json_text(obj)
 
 
-def report_to_text(report: VerifyReport, max_listed: int = 10) -> str:
+def report_to_text(report: VerifyReport) -> str:
     """Human-readable summary, deterministic (no timing on this surface)."""
     lines = [
         f"check: {report.check_name}",
@@ -91,15 +98,15 @@ def report_to_text(report: VerifyReport, max_listed: int = 10) -> str:
         f"items_checked: {report.items_checked}",
         f"counterexamples: {len(report.counterexamples)}",
     ]
-    for c in report.counterexamples[:max_listed]:
+    for c in report.counterexamples[:MAX_LISTED]:
         lines.append(f"  counterexample {c.input}: expected {c.expected}, got {c.actual}")
-    if len(report.counterexamples) > max_listed:
-        lines.append(f"  (+{len(report.counterexamples) - max_listed} more)")
+    if len(report.counterexamples) > MAX_LISTED:
+        lines.append(f"  (+{len(report.counterexamples) - MAX_LISTED} more)")
     lines.append(f"deferred: {len(report.deferred)}")
-    for d in report.deferred[:max_listed]:
+    for d in report.deferred[:MAX_LISTED]:
         lines.append(f"  deferred {d.input}: {d.reason}")
-    if len(report.deferred) > max_listed:
-        lines.append(f"  (+{len(report.deferred) - max_listed} more)")
+    if len(report.deferred) > MAX_LISTED:
+        lines.append(f"  (+{len(report.deferred) - MAX_LISTED} more)")
     for key in report.details:
         lines.append(f"{key}: {report.details[key]}")
     return "\n".join(lines) + "\n"
@@ -116,18 +123,13 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def rows_to_json(rows: list[dict]) -> str:
-    import json
-    return json.dumps(rows, indent=2) + "\n"
-
-
 def render_rows(rows: list[dict], fmt: str,
                 text: Callable[[list[dict]], str]) -> str:
     """One listing in one of FORMATS; ``text(rows)`` supplies the text form."""
     if fmt == "csv":
         return rows_to_csv(rows)
     if fmt == "json":
-        return rows_to_json(rows)
+        return json_text(rows)
     if fmt == "text":
         return text(rows)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -139,3 +141,7 @@ def aligned(rows: list[tuple[str, ...]]) -> str:
     widths = [max(map(len, column)) for column in zip(*rows)]
     return "".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                    + "\n" for row in rows)
+
+
+def format_progression(modulus: int, offset: int, starred: bool = False) -> str:
+    return f"{modulus}n + {offset}" + ("*" if starred else "")

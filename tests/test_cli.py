@@ -268,6 +268,23 @@ def test_output_file_failure(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "--max-m", "1"),
+    ("map", "schema", "--max-m", "1", "--format", "json"),
+    ("verify", "theorem1", "--max-m", "2"),
+], ids=["table", "map", "verify"])
+def test_stdout_write_failure_exits_1_without_traceback(capsys, monkeypatch,
+                                                        argv):
+    def broken_write(_text):
+        raise OSError("disk full")
+    monkeypatch.setattr(sys.stdout, "write", broken_write)
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: disk full")
+    assert "Traceback" not in err
+
+
 def test_output_file_is_utf8_and_unencodable_stdout_is_an_error(tmp_path):
     # under an ASCII locale the sigma map's non-ASCII header cannot reach
     # stdout: that is an output failure (exit 1), not a usage error, and an
@@ -378,11 +395,11 @@ def _env_with_src() -> dict:
     return env
 
 
-def _modules_after_cli_import(names, *flags) -> str:
+def _modules_after_import(names, *flags, module="collatz_cover.cli") -> str:
     """The subset of ``names`` in sys.modules after a fresh interpreter,
-    started with ``flags``, imports the CLI."""
+    started with ``flags``, imports ``module``."""
     env = _env_with_src()
-    probe = ("import sys, collatz_cover.cli; "
+    probe = (f"import sys, {module}; "
              f"print(sorted(m for m in {names!r} if m in sys.modules))")
     result = subprocess.run([sys.executable, *flags, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
@@ -390,7 +407,7 @@ def _modules_after_cli_import(names, *flags) -> str:
 
 
 def test_cli_import_pulls_in_no_numpy_or_thread_pool():
-    assert _modules_after_cli_import(("numpy", "concurrent.futures")) == "[]"
+    assert _modules_after_import(("numpy", "concurrent.futures")) == "[]"
 
 
 def test_cli_import_pulls_in_no_file_format_modules():
@@ -399,12 +416,18 @@ def test_cli_import_pulls_in_no_file_format_modules():
     # random serve only some formats and verify cyclic
     names = ("tempfile", "struct", "dataclasses", "inspect", "json", "csv",
              "random")
-    assert _modules_after_cli_import(names, "-S") == "[]"
+    assert _modules_after_import(names, "-S") == "[]"
 
 
 def test_cli_import_loads_no_verifier_or_map_builder():
     names = ("collatz_cover.verify", "collatz_cover.mapgen")
-    assert _modules_after_cli_import(names, "-S") == "[]"
+    assert _modules_after_import(names, "-S") == "[]"
+
+
+def test_covering_import_loads_no_renderer():
+    names = ("collatz_cover.reports",)
+    assert _modules_after_import(names, "-S",
+                                 module="collatz_cover.covering") == "[]"
 
 
 def _own_modules_imported(*argv) -> set[str]:
@@ -421,12 +444,13 @@ def _own_modules_imported(*argv) -> set[str]:
 
 
 @pytest.mark.parametrize("argv, loaded", [
+    (("table",), set()),
     (("table", "--format", "csv"), set()),
     (("sigma", "27"), set()),
     (("classify", "27"), set()),
     (("verify", "range", "--end", "99"), {"collatz_cover.verify"}),
     (("map", "sigma"), {"collatz_cover.mapgen"}),
-], ids=["table-csv", "sigma", "classify", "verify-range", "map-sigma"])
+], ids=["table", "table-csv", "sigma", "classify", "verify-range", "map-sigma"])
 def test_commands_load_only_the_modules_they_run(argv, loaded):
     deferred = {"collatz_cover.verify", "collatz_cover.mapgen"}
     assert _own_modules_imported(*argv) & deferred == loaded

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +6,6 @@ from collatz_cover import (ProfileTable, RESIDUE_ORDER, build_report,
                            build_schema, classify, cover_audit,
                            cyclic_recurrence_check, derive_profile,
                            digit_root_class, digital_root, residue_class, trace)
-from collatz_cover.covering import CSV_HEADER
 from collatz_cover.verify import membership_counts
 from oracles import valuation_by_division
 
@@ -275,25 +272,3 @@ def test_profile_table_shape_and_lookup():
         table.row(1, 4)
     with pytest.raises(ValueError):
         ProfileTable.build(0)
-
-
-def test_profile_table_csv():
-    table = ProfileTable.build(2)
-    buf = io.StringIO()
-    table.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == ",".join(CSV_HEADER)
-    assert lines[0] == "i,r,m,v_offset,d_offset,d_modulus,even_offset,even_modulus,next_offset"
-    assert len(lines) == 1 + 18
-    assert lines[1] == "1,1,1,1,19,36,58,108,29"
-
-
-def test_profile_table_json_roundtrip():
-    import json
-
-    table = ProfileTable.build(2)
-    rows = json.loads(table.to_json())
-    assert len(rows) == 18
-    assert rows[0] == {"i": 1, "r": 1, "m": 1, "v_offset": 1, "d_offset": 19,
-                       "d_modulus": 36, "even_offset": 58, "even_modulus": 108,
-                       "next_offset": 29}

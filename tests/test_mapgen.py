@@ -1,10 +1,9 @@
-import io
 import json
 
 import pytest
 
 from collatz_cover import (SchemaTable, build_schema, build_sigma_schema,
-                           render, render_str, sigma_infinity)
+                           render_str, sigma_infinity)
 from collatz_cover.mapgen import format_progression
 
 
@@ -182,22 +181,6 @@ def test_render_deterministic():
 def test_render_unknown_format():
     with pytest.raises(ValueError, match="unknown format"):
         render_str(build_schema(1), "yaml")
-
-
-def test_render_into_sink():
-    table = build_schema(2)
-    buf = io.StringIO()
-    render(table, "csv", buf)
-    assert buf.getvalue() == render_str(table, "csv")
-
-
-def test_render_sink_failure_carries_context():
-    class BrokenSink:
-        def write(self, _):
-            raise OSError("disk full")
-
-    with pytest.raises(OSError, match="failed writing csv output"):
-        render(build_schema(1), "csv", BrokenSink())
 
 
 def test_format_progression():

@@ -57,8 +57,6 @@ def test_json_shape_and_determinism():
         "items_checked": 4,
         "details": {"matched_once": 2},
     }
-    timed = json.loads(report_to_json(report, include_elapsed=True))
-    assert timed["elapsed_ms"] == 1250.0
 
 
 def test_text_summary():
@@ -79,5 +77,5 @@ def test_text_summary_truncates():
     report = build_report(
         "demo", {},
         counterexamples=[Counterexample(i, "a", "b") for i in range(15)])
-    text = report_to_text(report, max_listed=10)
+    text = report_to_text(report)
     assert "(+5 more)" in text
