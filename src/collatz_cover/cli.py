@@ -190,15 +190,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replace_whole(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside the file ``path``, then move it
+    onto ``path``, so that a failed write leaves the earlier file as it
+    was. The temp file is made with mode 0o666, so the umask applies as it
+    does for a plain open, and is removed when the write fails."""
+    temp = os.path.join(os.path.dirname(path),
+                        f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def _emit(text: str, output: str | None) -> int:
     if output is None:
         sys.stdout.write(text)
         return EXIT_PASS
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if os.path.exists(output) and not os.path.isfile(output):
+            # a device or a pipe, such as /dev/null, is written in place:
+            # replacing it would put a file where it was
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:  # through a symlink, to the file it names
+            _replace_whole(os.path.realpath(output), text)
+    except OSError as exc:  # named by the target, not the temp file
+        print(f"error: {output}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_PASS
 

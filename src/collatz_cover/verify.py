@@ -14,14 +14,12 @@ values below its start in a dict of its own. One recursion
 fixes the first odd value below d (Terras 1976; Lagarias 1985), and gives
 the walk's jumps too. As d steps along a path, that value steps by a fixed
 stride, so most members take their stopping times from slices of the
-table, each slice checked and filled as the 32-bit lanes of one int. One
-rule, the floor, keeps both exact: it is the largest value whose entry was
-set before the sweep, and every entry above it was stored by the sweep
-itself. Only members above the floor are filled, each fill reading only
-its targets; every other member takes one walk from itself, which jumps
-along the same first descents from each value above the floor. Neither
-reads the entry of 1, and the report depends only on the range, the class
-and the budget.
+table, each slice checked and filled as the 32-bit lanes of one int, and
+reading only its targets; every other member takes one walk from itself,
+which jumps along the same first descents. The sweep trusts its stores:
+any entry set before it began must be a true stopping time, and the stores
+``_stores`` makes are empty. Neither a fill nor a walk reads the entry of
+1, and the report depends only on the range, the class and the budget.
 """
 
 from __future__ import annotations
@@ -164,9 +162,9 @@ def _fill(table: array, first: int, d: int, n: int, descent, cap: int) -> bool:
     reaching its top bit, and t's own top bit is caught apart. cap is at
     most ``_LANE_MAX``, which keeps every lane below 2^31.
 
-    Only the targets are read: the sweep fills only members above the
-    stores' floor, where each member, and each odd value on the way, holds
-    0 or what the walk through the target gives it."""
+    Only the targets are read: each member, and each odd value on the way,
+    holds 0 or its true stopping time, which is what the walk through the
+    target gives it."""
     _, stride, e, p, b, steps, gap = descent
     limit = cap - steps
     if limit < 1:
@@ -191,23 +189,9 @@ def _stores(first: int, end: int) -> tuple[array, dict[int, int]]:
     ``table[(y - first) >> 1]`` holds sigma(y), 0 while unknown. The entry
     of 1 is never stored or read: sigma(1) = 0, and 1 ends every walk. The
     dict maps odd values below ``min(first, _BELOW_MAX)`` to their stopping
-    times."""
+    times. The sweep trusts every entry it meets: an entry set here, as
+    tests do to pre-fill the stores, must be a true stopping time."""
     return array("I", [0]) * ((end - first) // 2 + 1), {}
-
-
-def _floor(first: int, table: array, below: dict[int, int]) -> int:
-    """The largest value whose entry either store holds, 0 when both are
-    empty. The table is scanned from its end in chunks of 16 KiB, each
-    compared with as many zero bytes, so a cold table costs no copy of its
-    whole length; only the first chunk that is not zero is searched for its
-    last entry. On 2 MB of zeros, a ``bytes.rstrip`` of every chunk took
-    5 to 8 ms, and the comparison about 0.4 ms (CPython 3.11, x86-64)."""
-    for top in range(len(table), 0, -4096):
-        low = max(0, top - 4096)
-        chunk = table[low:top].tobytes()
-        if chunk != bytes(len(chunk)):
-            return first + 2 * (low + (len(chunk.rstrip(b"\0")) - 1) // 4)
-    return max(below, default=0)
 
 
 def _row_faults(i: int, m: int, offset: int, modulus: int) -> list:
@@ -481,32 +465,29 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     The recurrence pass keeps the stopping times in a dense table over
     [start, end], 4 bytes per odd integer, and those of the values below
     ``start`` in a dict, only below ``_BELOW_MAX`` (see ``_stores``). The
-    floor is the largest value whose entry either store held when the sweep
-    began (``_floor``), 0 for the empty stores of ``_stores``: each entry
-    above it is one the sweep stored, as what the walk through its value
-    gives. The sweep walks ascending blocks [L, U) with 3U <= 4L. The
-    members of one path of ``_sweep_paths``, d = r (mod 2^(e+1)), reach
-    their first odd value below d, the target (3^c*d + b)/2^e, in c odd
-    steps and e halvings, and the targets step by a fixed stride as d steps
-    along the path. The members of a path in a block whose targets lie in
-    [max(start, 3), L), where the sweep has passed, take
-    sigma(target) + c + e from one slice of the table, when the first of
-    them lies above the floor and every target is known and within budget
-    (``_fill``). The walk from d stops at the first known entry it meets,
-    and reports from it; above the floor each member, and each odd value
-    on the way, which lies above its member, holds 0 or what the walk
-    through the target gives it, so the fill reads the target slice only,
-    and a target at or below the floor as it is, as the walk reads it.
+    sweep trusts every entry it meets: one set before it began must be a
+    true stopping time, and each one it stores is what the walk through its
+    value gives. On such stores, cold or holding true entries anywhere, its
+    report and its members' stored entries are those of a sweep that
+    handles each d in turn and walks by single odd steps. The sweep walks
+    ascending blocks [L, U) with 3U <= 4L. The members of one path of
+    ``_sweep_paths``, d = r (mod 2^(e+1)), reach their first odd value
+    below d, the target (3^c*d + b)/2^e, in c odd steps and e halvings, and
+    the targets step by a fixed stride as d steps along the path. The
+    members of a path in a block whose targets lie in [max(start, 3), L),
+    where the sweep has passed, take sigma(target) + c + e from one slice
+    of the table, when every target is known and within budget (``_fill``):
+    each member, and each odd value on the way, holds 0 or what the walk
+    through the target gives it, so the fill reads the target slice only.
     Every other member walks from d itself until 1 or a known entry of
     either store, then stores the values it landed on that either store
-    admits. From a value x above the floor the walk jumps by x mod 2^12
+    admits. From each value x the walk jumps by x mod 2^12
     (``_jump_table``): to the first odd value below x, or for a scalar
-    residue along the odd steps that the residue fixes; from any other x it
-    takes one odd step, as it does from the one residue that fixes no step.
-    The odd values a jump passes lie above x, so above the floor: where a
-    walk of odd steps would stop at such an entry, the jump reaches the
-    same sum. Steps only grow, so a walk that crosses the budget inside a
-    jump is deferred as the odd steps would defer it.
+    residue along the odd steps that the residue fixes; from the one
+    residue that fixes no step it takes one odd step. Where a walk of odd
+    steps would stop at an entry that a jump or a fill passes, the jump or
+    the fill reaches the same sum. Steps only grow, so a walk that crosses
+    the budget inside a jump is deferred as the odd steps would defer it.
 
     sigma(d) is its table entry, or what its walk gives when it has none;
     a counterexample names it as sigma(target) + m + 1, for
@@ -522,7 +503,9 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     each value a walk lands on in the range. A value only passed is left
     as it was: under a class filter a non-member, and a member that failed
     reconstruction, can hold 0 where a walk of single odd steps would have
-    stored its stopping time.
+    stored its stopping time. A wrong entry set before the sweep is
+    reported only where its own member walks, and no fill or walk meets it
+    first.
 
     An odd integer is deferred when its stopping time exceeds ``budget``.
     """
@@ -568,7 +551,6 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     jump_mask = len(jumps) - 1
     cap = min(budget, _LANE_MAX)
     table, below = _stores(first, end)
-    floor = _floor(first, table, below)
     below_get = below.get
     below_max = min(first, _BELOW_MAX)
     # a fill reads no target below the start, nor 1, where walks end
@@ -591,10 +573,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
             # the block, where the sweep has passed
             j = max(0, -((p * d + b - (known_min << e)) // (p * stride)))
             n = min(len(members), (((low << e) - b - 1) // p - d) // stride + 1) - j
-            # a fill at or below the floor could pass an entry set before
-            # the sweep, at which the walk would stop: those members walk
-            if n > 0 and members[j] > floor and _fill(
-                    table, first, members[j], n, descent, cap):
+            if n > 0 and _fill(table, first, members[j], n, descent, cap):
                 scalar.append(members[:j])
                 members = members[j + n:]
             if members:
@@ -615,9 +594,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
             # slows the full sweep
             path = below_path = None
             while True:
-                if x > floor and (jump := jumps[x & jump_mask]) is not None:
-                    # the odd values a jump passes lie above x, where no
-                    # entry was set before the sweep
+                if (jump := jumps[x & jump_mask]) is not None:
                     jp, jb, je, jsteps = jump
                     x = (jp * x + jb) >> je
                     steps += jsteps

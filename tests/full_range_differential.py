@@ -5,11 +5,16 @@ store the same stopping time for every member. The reports alone would not
 do: the recurrence comparison bites only on entries stored earlier, so a
 sweep that fills a wrong stopping time into an empty entry still passes.
 
+A last check sweeps [1, 1e7] alone and compares its largest stopping time
+with the published one: sigma = 685 at 8400511, the delay record below 1e7
+(OEIS A006877, A006878), which is odd and so in the sweep's table.
+
 Run from the repository root (a few seconds):
 
     PYTHONPATH=src python tests/full_range_differential.py
 
-It prints one line per shape and exits 1 if any of them differs.
+It prints one line per shape, and one for the record, and exits 1 if any
+of them differs.
 """
 
 import sys
@@ -43,6 +48,8 @@ SHAPES = [
     (1, 3 * 10**5, None, 150),
 ]
 
+#: (n, sigma(n)) of the delay record below 1e7
+RECORD_1E7 = (8400511, 685)
 
 MAKE_STORES = verify._stores
 
@@ -80,6 +87,19 @@ def main() -> int:
               f"{'same' if same_sigmas else 'DIFFER'}: [{start}, {end}] class "
               f"{class_filter} budget {budget} ({perf_counter() - t0:.1f} s)",
               flush=True)
+    t0 = perf_counter()
+    tables = []
+    verify._stores = _recording(tables)
+    try:
+        verify.verify_range(1, 10**7)
+    finally:
+        verify._stores = MAKE_STORES
+    top = max(tables[0])
+    record = (2 * tables[0].index(top) + 1, top)
+    failed += record != RECORD_1E7
+    print(f"record {'same' if record == RECORD_1E7 else 'DIFFERS'}: sigma "
+          f"{record[1]} at {record[0]}, the largest below 1e7 "
+          f"({perf_counter() - t0:.1f} s)", flush=True)
     return 1 if failed else 0
 
 

@@ -10,15 +10,9 @@ A trial draws:
   width up to 2e4, both near 1 log-uniform;
 - no class, or one class of the nine;
 - a budget from 1 to 10^7, log-uniform, or 10^7;
-- cold, warm or poisoned stores: warm holds true stopping times for part
-  of the range and for some values below the start; poisoned, on warm or
-  cold stores, adds wrong entries in the below-start dict and mostly in
-  the table, the entry of 1 included, some of them at the 32-bit lane
-  bounds; low-poisoned adds them to the lower part of the table only, so
-  that the floor lies inside the range: the members at or below it must
-  walk, as the reference does, and the fills above it read only their
-  targets, some of which are poisoned. From 1, half of them poison only
-  the entry of 1, which no fill or walk may read;
+- cold or warm stores: warm holds true stopping times for part of the
+  range and for some values below the start. The sweep trusts its stores,
+  so a store holds no wrong entry;
 - in about a third of the trials, one progression row moved off its true
   offset or modulus. The members whose reconstruction then fails are left
   out of the stored comparison: neither sweep walks them, and only the
@@ -51,10 +45,7 @@ from collatz_cover.covering import RESIDUE_ORDER  # noqa: E402
 from oracles import reference_range_sweep, unit_step_sigma_memo  # noqa: E402
 
 ROW_MOVES = ("+modulus", "-modulus", "+modulus/2", "modulus/2")
-STORE_KINDS = ("cold", "warm", "poisoned", "low-poisoned")
-#: Wrong entries a poisoned store may hold, beyond small ones: the 32-bit
-#: lane bounds that the sweep's fills test.
-LANE_BOUNDS = (2**31 - 1, 2**31, 2**31 + 3, 2**32 - 1)
+STORE_KINDS = ("cold", "warm")
 
 
 @dataclass(frozen=True)
@@ -124,7 +115,7 @@ def rows_of(row):
 
 def stores_of(trial: Trial, make):
     """A store factory that gives both sweeps the same stores: ``make``'s
-    empty ones, then the trial's warm or poisoned entries."""
+    empty ones, then the trial's warm entries."""
     def stores(first, end):
         table, below = make(first, end)
         if trial.stores == "cold":
@@ -133,50 +124,14 @@ def stores_of(trial: Trial, make):
         memo = {}
         below_max = min(first, 2**32)
         # true stopping times of a prefix of the range, and of some odd
-        # values just below the start; half the poisoned stores start cold,
-        # and a low-poisoned store's prefix ends in the table's lower half
-        low = trial.stores == "low-poisoned"
-        if trial.stores == "warm" or rng.random() < 0.5:
-            for k in range(rng.randrange((len(table) >> low) + 1)):
-                y = first + 2 * k
-                if y > 1:
-                    table[k] = unit_step_sigma_memo(y, memo)
-            for y in range(max(3, below_max - 400) | 1, below_max, 2):
-                if rng.random() < 0.3:
-                    below[y] = unit_step_sigma_memo(y, memo)
-
-        def wrong():
-            return rng.choice([rng.randrange(1, 250), rng.choice(LANE_BOUNDS)])
-
-        if low:
-            # wrong entries, the entry of 1 included, below a cut in the
-            # lower half of the table: the floor lies below the cut. From 1,
-            # half of them poison the entry of 1 alone, with a stopping time
-            # a fill would take: on a cold table the floor is then 1, and
-            # the fills from 5 on, whose targets include 1, lie above it
-            cut = rng.randrange((len(table) >> 1) + 1)
-            if first == 1 and rng.random() < 0.5:
-                cut = 0
-                table[0] = rng.randrange(1, 250)
-            for k in rng.sample(range(cut), min(cut, 30)):
-                table[k] = wrong()
-            if first == 1 and cut:
-                table[0] = wrong()
-        if trial.stores == "poisoned":
-            # a table left cold shows whether the dict's entries count
-            if rng.random() < 2 / 3:
-                for k in rng.sample(range(len(table)), min(len(table), 30)):
-                    table[k] = wrong()
-                if first == 1:
-                    table[0] = wrong()
-            if first > 1:
-                below[1] = wrong()
-            # small values, where most walks end, and values just below
-            # the start
-            for near in (range(1, min(below_max, 600), 2),
-                         range(max(1, below_max - 400) | 1, below_max, 2)):
-                for y in rng.sample(near, min(len(near), 20)):
-                    below[y] = wrong()
+        # values just below the start
+        for k in range(rng.randrange(len(table) + 1)):
+            y = first + 2 * k
+            if y > 1:
+                table[k] = unit_step_sigma_memo(y, memo)
+        for y in range(max(3, below_max - 400) | 1, below_max, 2):
+            if rng.random() < 0.3:
+                below[y] = unit_step_sigma_memo(y, memo)
         return table, below
     return stores
 

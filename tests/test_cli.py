@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -266,6 +267,52 @@ def test_output_file_failure(capsys, tmp_path):
                        str(tmp_path / "missing" / "rows.txt"))
     assert code == 1
     assert "error" in err
+
+
+def failing_fdopen(fdopen):
+    """``fdopen`` whose files write the first 5 characters of a text, then
+    raise OSError("disk full")."""
+    def opened(*args, **kwargs):
+        fh = fdopen(*args, **kwargs)
+        write = fh.write
+
+        def fail(text):
+            write(text[:5])
+            raise OSError("disk full")
+
+        fh.write = fail
+        return fh
+    return opened
+
+
+def test_output_write_failure_keeps_the_earlier_file(capsys, monkeypatch,
+                                                    tmp_path):
+    # a write that fails part-way leaves the earlier report whole, exits 1
+    # and leaves no temp file beside it
+    target = tmp_path / "rows.csv"
+    target.write_text("earlier report\n")
+    monkeypatch.setattr(os, "fdopen", failing_fdopen(os.fdopen))
+    code, out, err = run(capsys, "table", "--max-m", "1", "--format", "csv",
+                         "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: {target}: disk full\n"
+    assert target.read_text() == "earlier report\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+def test_output_through_a_symlink_or_to_a_device(capsys, tmp_path):
+    # a symlink stays one, and the file it names takes the output; a
+    # device, which no file may replace, is written in place
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("earlier report\n")
+    link.symlink_to(real)
+    for target in (link, os.devnull):
+        code, out, _ = run(capsys, "table", "--max-m", "1", "--format", "csv",
+                           "--output", str(target))
+        assert (code, out) == (0, "")
+    assert link.is_symlink() and real.read_text().startswith("i,r,m,")
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 @pytest.mark.parametrize("argv", [

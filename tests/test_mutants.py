@@ -7,14 +7,17 @@ compiles the patched source into a fresh module, and runs the call on it:
 the call must catch the mutant, and must not catch the unpatched module,
 so that no row passes on a check that cannot fail. The range sweep's rows
 compare its report with the per-d reference sweep in ``oracles.py``, or the
-stopping times it stored with the unit-step walk's. The rows outside the
+stopping times it stored with the unit-step walk's, and one runs the fill's
+lane test on a target slice that holds 2^31 + 3. The rows outside the
 sweep compare ``sigma_infinity`` with the unit-step walk,
 ``digit_root_class`` with ``residue_class`` and ``derive_profile`` with the
-checked-in reference rows, run the cover audit, and run the theorem1 proof
-on a row moved out of its range.
+checked-in reference rows, run the cover audit, run the theorem1 proof on
+a row moved out of its range, and fail an ``--output`` write part-way.
 """
 
 import json
+import os
+import tempfile
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -23,50 +26,36 @@ import pytest
 import collatz_cover
 from collatz_cover import derive_profile, report_to_json, residue_class
 from oracles import reference_range_sweep, unit_step_sigma, unit_step_sigma_memo
+from test_cli import failing_fdopen
 
 SOURCE_DIR = Path(collatz_cover.__file__).parent
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def _poisoned(make, poison):
-    """A store factory that writes ``poison`` {value: entry} into the
-    stores ``make`` gives, as an earlier run might have left them: a value
-    below the start into the below-start dict, any other into the table."""
-    def stores(first, end):
-        table, below = make(first, end)
-        for y, entry in poison.items():
-            if y < first:
-                below[y] = entry
-            else:
-                table[(y - first) >> 1] = entry
-        return table, below
-    return stores
-
-
-def report_differs(start, end, budget=10**7, poison=None):
+def report_differs(start, end, budget=10**7):
     """Catches a mutant whose sweep reports otherwise than the per-d
-    reference over [start, end], both on the same (poisoned) stores."""
+    reference over [start, end], both on cold stores."""
     def caught(module):
-        stores = _poisoned(module._stores, poison or {})
-        module._stores = stores
         got = module.verify_range(start, end, budget=budget)
         want = reference_range_sweep(start, end, budget=budget,
-                                     profile=derive_profile, stores=stores)
+                                     profile=derive_profile, stores=module._stores)
         return report_to_json(got) != report_to_json(want)
     return caught
 
 
 def stored_sigma_differs(start, end, poison=None):
     """Catches a mutant whose sweep stores a stopping time other than the
-    unit-step walk's, on cold stores but for ``poison``, whose slots are
-    left out of the comparison."""
+    unit-step walk's, on cold stores but for the table entries ``poison``
+    {value: entry}, whose slots are left out of the comparison."""
     poison = poison or {}
 
     def caught(module):
-        make, tables = _poisoned(module._stores, poison), []
+        make, tables = module._stores, []
 
         def stores(first, last):
             table, below = make(first, last)
+            for y, entry in poison.items():
+                table[(y - first) >> 1] = entry
             tables.append((first, table))
             return table, below
 
@@ -78,6 +67,18 @@ def stored_sigma_differs(start, end, poison=None):
                    for y, entry in zip(range(first, end + 1, 2), table)
                    if entry and y not in poison)
     return caught
+
+
+def fill_takes_a_lane_of_2_31(module):
+    """Catches a ``verify`` mutant whose fill of 13 and 29, the first
+    members of the path 16k + 13, goes ahead when their target slice holds
+    the lane 2^31 + 3 at 5, beside sigma(11) = 14: it must return False
+    and leave the table as it was."""
+    (descent,) = [x for x in module._sweep_paths(None)[0] if x[:2] == (13, 16)]
+    table = module._stores(1, 29)[0]
+    table[(5 - 1) >> 1], table[(11 - 1) >> 1] = 2**31 + 3, 14
+    before = table[:]
+    return module._fill(table, 1, 13, 2, descent, 10**7) or table != before
 
 
 def sigma_differs(module):
@@ -133,6 +134,19 @@ def cover_audit_fails(module):
     return module.cover_audit(2001, 18).outcome != "pass"
 
 
+def failed_output_changes_the_directory(module):
+    """Catches a ``cli`` mutant whose --output write, failing part-way,
+    exits otherwise than 1, or leaves its directory holding anything but
+    the earlier file as it was."""
+    module.os = SimpleNamespace(**{**vars(os), "fdopen": failing_fdopen(os.fdopen)})
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "report.txt"
+        target.write_text("earlier report\n")
+        code = module.main(["table", "--max-m", "1", "--output", str(target)])
+        return (code != 1 or os.listdir(tmp) != ["report.txt"]
+                or target.read_text() != "earlier report\n")
+
+
 ROWS = [
     ("verify", "if x == 1 or steps > budget:",
      "if x == 1 or steps >= budget:",
@@ -145,37 +159,16 @@ ROWS = [
      stored_sigma_differs(1, 2001), "fill adds e in place of c + e"),
     ("verify", "b, c + e, p * stride", "b, c + e - 1, p * stride",
      stored_sigma_differs(1, 2001), "fill adds c + e - 1"),
-    # 13's entry sets the floor at 13, so 13, the first member of the path
-    # 16k + 13 in its block, must walk to its entry, not be filled from 5:
-    # neither with the guard gone nor with the floor itself let through
-    ("verify", "members[j] > floor and ", "",
-     report_differs(1, 101, poison={13: 10}), "fill at or below the floor"),
-    ("verify", "members[j] > floor", "members[j] >= floor",
-     report_differs(1, 101, poison={13: 10}), "fill overwrites stored entries"),
-    # 5 is the target of 13, on the path 16k + 13; without the top bit, the
-    # lane 2^31 + 3 reads as 3, within the limit
+    # without the top bit, the lane 2^31 + 3 reads as 3, within the limit
     ("verify", "(((t & low) + (low - limit * ones)) | t) & top",
      "((t & low) + (low - limit * ones)) & top",
-     report_differs(1, 2001, poison={5: 2**31 + 3}),
-     "fill takes a target of 2^31 or more"),
+     fill_takes_a_lane_of_2_31, "fill takes a target of 2^31 or more"),
     ("verify", "[(p, b, e, steps)]", "[(p, b, e, steps - 1)]",
      stored_sigma_differs(1, 2001), "jump adds c + e - 1"),
     # 27 is a scalar residue mod 2^12: its jump is the prefix of 8 odd
     # steps, 19 unit steps, to 91, still above 27
     ("verify", "(p, b, e, c + e) if c", "(p, b, e, c + e + 1) if c",
      stored_sigma_differs(1, 2001), "prefix jump adds one step"),
-    # 103 -> 155 is one odd step, to a value in the range, whose entry was
-    # set before the sweep: the walk from 103 stops at it, so it must not
-    # jump it. With the floor at 155, 103 takes one odd step
-    ("verify", "    floor = _floor(first, table, below)\n", "    floor = 0\n",
-     report_differs(1, 301, poison={155: 7, 103: 87}),
-     "walk jumps values in the range"),
-    # 25 lands on 19 and 19 on 11, whose first descent 11 -> 17 -> 13 -> 5
-    # passes 17; 17's entry in the dict, above the budget, must defer the
-    # walks that reach 11, so 11 lies at or below the floor
-    ("verify", "    return max(below, default=0)\n", "    return 0\n",
-     report_differs(21, 101, budget=200, poison={17: 250}),
-     "floor ignores the below-start dict"),
     # neither sweep reads the entry of 1, so only the stored entries differ
     ("verify", "known_min = max(first, 3)", "known_min = first",
      stored_sigma_differs(1, 11, poison={1: 50}), "fill reads the entry of 1"),
@@ -194,6 +187,11 @@ ROWS = [
     # 2^m | 3x + 1 and a valuation of exactly m
     ("covering", "two = 1 << (m + 1)", "two = 1 << m",
      profiles_differ, "profile solves its CRT mod 2^m"),
+    ("cli", "        os.unlink(temp)\n", "",
+     failed_output_changes_the_directory, "failed write leaves its temp file"),
+    ("cli", "os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)",
+     "os.open(path, os.O_CREAT | os.O_TRUNC | os.O_WRONLY, 0o666)",
+     failed_output_changes_the_directory, "output truncates the earlier file"),
     ("verify", "if not 0 <= offset < modulus:", "if False:",
      theorem1_misses_a_shifted_row, "row proof drops the offset range"),
     ("verify", "elif not (a & 1 and a < 54):", "elif not a & 1:",
@@ -206,9 +204,9 @@ ROWS = [
 #: caught only by the oracles of the tests. This set should only grow.
 CAUGHT_BY_SIGMA_RELATION = (
     "walk stores one step too many",
-    # above the floor a fill no longer tests the entries walks stored, so
-    # the jumps' short counts and the fills' full c + e meet in one table,
-    # where a later walk finds them out
+    # a fill does not test the entries walks stored, so the jumps' short
+    # counts and the fills' full c + e meet in one table, where a later
+    # walk finds them out
     "jump adds c + e - 1",
 )
 
