@@ -432,6 +432,9 @@ def _run(argv) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except (OverflowError, MemoryError) as exc:  # a table too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 def entry() -> None:

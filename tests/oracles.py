@@ -39,6 +39,16 @@ def unit_step_sigma_memo(n: int, memo: dict[int, int]) -> int:
     return memo[path[0]] if path else steps
 
 
+def fill_true_entries(table, first: int, count: int, memo: dict[int, int]) -> None:
+    """Store in a range sweep's table from odd ``first`` the unit-step
+    stopping times of its first ``count`` odd values, as an earlier sweep
+    would have; the entry of 1 stays 0."""
+    for k in range(count):
+        y = first + 2 * k
+        if y > 1:
+            table[k] = unit_step_sigma_memo(y, memo)
+
+
 def unit_step_odd_descent(d: int) -> list[tuple[int, int]]:
     """The odd values the unit-step walk from odd d > 1 meets, up to the
     first below d, each with its unit steps from d."""

@@ -1,30 +1,36 @@
-"""Random-shape differential check of the range sweep, too slow for the test
-suite at this size. Each seeded trial draws a shape and a store, runs
-``verify_range`` and the per-d reference sweep in ``oracles.py`` on the same
-stores and the same rows, and compares the report bytes and every member's
-stored stopping time.
+"""Differential check of the range sweep, too slow for the test suite at
+this size. Each trial runs ``verify_range`` and the per-d reference sweep in
+``oracles.py`` on the same stores and the same rows, and compares the report
+bytes and every member's stored stopping time. The reports alone would not
+do: the recurrence comparison bites only on entries stored earlier, so a
+sweep that fills a wrong stopping time into an empty entry still passes.
 
-A trial draws:
+The script runs three parts:
 
-- a start at 1, near 1, up to 2^33, near 2^32 or near 2^33, and a
-  width up to 2e4, both near 1 log-uniform;
-- no class, or one class of the nine;
-- a budget from 1 to 10^7, log-uniform, or 10^7;
-- cold or warm stores: warm holds true stopping times for part of the
-  range and for some values below the start. The sweep trusts its stores,
-  so a store holds no wrong entry;
-- in about a third of the trials, one progression row moved off its true
-  offset or modulus. The members whose reconstruction then fails are left
-  out of the stored comparison: neither sweep walks them, and only the
-  reference stores the values its walks pass.
+- the 9 full-size ``SHAPES``, each a trial on cold stores with the true
+  rows;
+- ``--trials`` seeded random trials. A trial draws a start at 1, near 1,
+  up to 2^33, near 2^32 or near 2^33, and a width up to 2e4, both near 1
+  log-uniform; no class, or one class of the nine; a budget from 1 to
+  10^7, log-uniform, or 10^7; and cold or warm stores. Warm stores hold
+  true stopping times for a seeded prefix of the range and for some values
+  below the start: the sweep trusts its stores, so a store holds no wrong
+  entry. In about a third of the trials one progression row is moved off
+  its true offset or modulus. The members whose reconstruction then fails
+  are left out of the stored comparison: neither sweep walks them, and
+  only the reference stores the values its walks pass;
+- a sweep of [1, 1e7] alone, whose largest stopping time must be the
+  published one: sigma = 685 at 8400511, the delay record below 1e7 (OEIS
+  A006877, A006878), which is odd and so in the sweep's table.
 
 Run from the repository root (about 10 s):
 
-    PYTHONPATH=src python tests/random_range_differential.py [--trials N] [--seed S]
+    PYTHONPATH=src python tests/range_differential.py [--trials N] [--seed S]
 
-It prints one line per trial that differs and a summary, and exits 1 if any
-trial differs. The same trials back a small hypothesis test in
-``test_verify.py``.
+It prints one line per shape, one per random trial that differs, a summary
+of the random trials and one line for the record, and exits 1 if anything
+differs. The same trials back the per-d tests of ``test_verify.py`` and the
+sweep's rows of ``test_mutants.py``.
 """
 
 from __future__ import annotations
@@ -42,10 +48,34 @@ sys.path.insert(0, str(Path(__file__).parent))
 import collatz_cover.verify as verify  # noqa: E402
 from collatz_cover import derive_profile, report_to_json  # noqa: E402
 from collatz_cover.covering import RESIDUE_ORDER  # noqa: E402
-from oracles import reference_range_sweep, unit_step_sigma_memo  # noqa: E402
+from oracles import (fill_true_entries, reference_range_sweep,  # noqa: E402
+                     unit_step_sigma_memo)
 
 ROW_MOVES = ("+modulus", "-modulus", "+modulus/2", "modulus/2")
 STORE_KINDS = ("cold", "warm")
+
+# (start, end, class_filter, budget)
+SHAPES = [
+    (1, 10**6, None, 10**7),
+    # the sweep of `verify sigma-relation --bound 1000000`, which starts
+    # above 1
+    (3, 10**6, None, 10**7),
+    (1, 10**6, 9, 10**7),
+    # a class whose lift of the path residues differs from class 9's
+    (1, 10**6, 4, 10**7),
+    (500001, 10**6, None, 10**7),
+    (2**33 + 1, 2**33 + 20001, None, 10**7),
+    # a far window: walks jump the band [2^32, start), where nothing is
+    # stored, as they jump the values above the end
+    (10**12 + 1, 10**12 + 20001, None, 10**7),
+    (100001, 200001, None, 300),
+    # a tight budget: walks above the end jump first descents, and many
+    # cross the budget inside one
+    (1, 3 * 10**5, None, 150),
+]
+
+#: (n, sigma(n)) of the delay record below 1e7
+RECORD_1E7 = (8400511, 685)
 
 
 @dataclass(frozen=True)
@@ -125,15 +155,21 @@ def stores_of(trial: Trial, make):
         below_max = min(first, 2**32)
         # true stopping times of a prefix of the range, and of some odd
         # values just below the start
-        for k in range(rng.randrange(len(table) + 1)):
-            y = first + 2 * k
-            if y > 1:
-                table[k] = unit_step_sigma_memo(y, memo)
+        fill_true_entries(table, first, rng.randrange(len(table) + 1), memo)
         for y in range(max(3, below_max - 400) | 1, below_max, 2):
             if rng.random() < 0.3:
                 below[y] = unit_step_sigma_memo(y, memo)
         return table, below
     return stores
+
+
+def recording(stores, tables):
+    """``stores``, with each table it makes kept in ``tables``."""
+    def recorded(first, end):
+        table, below = stores(first, end)
+        tables.append(table)
+        return table, below
+    return recorded
 
 
 def run_trial(trial: Trial, module=verify) -> str | None:
@@ -142,30 +178,25 @@ def run_trial(trial: Trial, module=verify) -> str | None:
     stopping time agree."""
     make, profile = module._stores, module.derive_profile
     tables = []
-
-    def recording(first, end):
-        table, below = stores(first, end)
-        tables.append(table)
-        return table, below
-
-    stores = stores_of(trial, make)
+    stores = recording(stores_of(trial, make), tables)
     args = (trial.start, trial.end, trial.class_filter, trial.budget)
-    module._stores, module.derive_profile = recording, rows_of(trial.row)
+    module._stores, module.derive_profile = stores, rows_of(trial.row)
     try:
         got = report_to_json(module.verify_range(*args))
     finally:
         module._stores, module.derive_profile = make, profile
     want_report = reference_range_sweep(*args, profile=rows_of(trial.row),
-                                        stores=recording)
+                                        stores=stores)
     if got != report_to_json(want_report):
         return "report differs"
     unwalked = {c.input for c in want_report.counterexamples
                 if c.expected.startswith("exact reconstruction")}
-    first = trial.start | 1
-    for d in trial.members():
-        k = (d - first) >> 1
-        if d not in unwalked and tables[0][k] != tables[1][k]:
-            return f"stored stopping time of {d} differs: {tables[0][k]} != {tables[1][k]}"
+    members = trial.members()
+    k, step = (members.start - (trial.start | 1)) >> 1, members.step >> 1
+    for d, got_sigma, want_sigma in zip(members, tables[0][k::step],
+                                        tables[1][k::step]):
+        if got_sigma != want_sigma and d not in unwalked:
+            return f"stored stopping time of {d} differs: {got_sigma} != {want_sigma}"
     return None
 
 
@@ -174,17 +205,40 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=300)
     parser.add_argument("--seed", type=int, default=16)
     args = parser.parse_args(argv)
+    failed = 0
+    for start, end, class_filter, budget in SHAPES:
+        t0 = perf_counter()
+        fault = run_trial(make_trial(start, end - start, class_filter, budget,
+                                     "cold", None, 0))
+        failed += fault is not None
+        print(f"{'same' if fault is None else 'DIFFERS, ' + fault}: [{start}, "
+              f"{end}] class {class_filter} budget {budget} "
+              f"({perf_counter() - t0:.1f} s)", flush=True)
     rng = random.Random(args.seed)
     t0 = perf_counter()
-    failed = 0
+    failed_trials = 0
     for n in range(args.trials):
         trial = random_trial(rng)
         fault = run_trial(trial)
         if fault is not None:
-            failed += 1
+            failed_trials += 1
             print(f"trial {n} DIFFERS: {fault}: {trial}", flush=True)
-    print(f"{args.trials - failed} of {args.trials} trials same, seed {args.seed} "
-          f"({perf_counter() - t0:.1f} s)")
+    failed += failed_trials
+    print(f"{args.trials - failed_trials} of {args.trials} random trials same, "
+          f"seed {args.seed} ({perf_counter() - t0:.1f} s)", flush=True)
+    t0 = perf_counter()
+    make, tables = verify._stores, []
+    verify._stores = recording(make, tables)
+    try:
+        verify.verify_range(1, 10**7)
+    finally:
+        verify._stores = make
+    top = max(tables[0])
+    record = (2 * tables[0].index(top) + 1, top)
+    failed += record != RECORD_1E7
+    print(f"record {'same' if record == RECORD_1E7 else 'DIFFERS'}: sigma "
+          f"{record[1]} at {record[0]}, the largest below 1e7 "
+          f"({perf_counter() - t0:.1f} s)", flush=True)
     return 1 if failed else 0
 
 

@@ -332,6 +332,26 @@ def test_stdout_write_failure_exits_1_without_traceback(capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+def test_oversized_range_exits_1_without_traceback(capsys):
+    # 5e29 table entries do not fit an index: the allocation raises
+    # OverflowError before it reserves anything
+    code = main(["verify", "range", "--end", str(10**30)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_memory_error_exits_1_without_traceback(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "verify_range", out_of_memory)
+    code = main(["verify", "range", "--end", "101"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: out of memory\n"
+
+
 def test_output_file_is_utf8_and_unencodable_stdout_is_an_error(tmp_path):
     # under an ASCII locale the sigma map's non-ASCII header cannot reach
     # stdout: that is an output failure (exit 1), not a usage error, and an

@@ -6,13 +6,15 @@ catching call. The test asserts that the fragment occurs exactly once,
 compiles the patched source into a fresh module, and runs the call on it:
 the call must catch the mutant, and must not catch the unpatched module,
 so that no row passes on a check that cannot fail. The range sweep's rows
-compare its report with the per-d reference sweep in ``oracles.py``, or the
-stopping times it stored with the unit-step walk's, and one runs the fill's
-lane test on a target slice that holds 2^31 + 3. The rows outside the
-sweep compare ``sigma_infinity`` with the unit-step walk,
-``digit_root_class`` with ``residue_class`` and ``derive_profile`` with the
-checked-in reference rows, run the cover audit, run the theorem1 proof on
-a row moved out of its range, and fail an ``--output`` write part-way.
+run a cold trial of ``range_differential.py``, which compares the report and
+every member's stored stopping time with the per-d reference sweep in
+``oracles.py``, or compare the stopping times the sweep stored with the
+unit-step walk's, and one runs the fill's lane test on a target slice that
+holds 2^31 + 3. The rows outside the sweep compare ``sigma_infinity`` with
+the unit-step walk, ``digit_root_class`` with ``residue_class`` and
+``derive_profile`` with the checked-in reference rows, run the cover audit,
+run the theorem1 proof on a row moved out of its range, and fail an
+``--output`` write part-way.
 """
 
 import json
@@ -24,8 +26,9 @@ from types import ModuleType, SimpleNamespace
 import pytest
 
 import collatz_cover
-from collatz_cover import derive_profile, report_to_json, residue_class
-from oracles import reference_range_sweep, unit_step_sigma, unit_step_sigma_memo
+from collatz_cover import derive_profile, residue_class
+from oracles import unit_step_sigma, unit_step_sigma_memo
+from range_differential import make_trial, run_trial
 from test_cli import failing_fdopen
 
 SOURCE_DIR = Path(collatz_cover.__file__).parent
@@ -33,14 +36,11 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def report_differs(start, end, budget=10**7):
-    """Catches a mutant whose sweep reports otherwise than the per-d
-    reference over [start, end], both on cold stores."""
-    def caught(module):
-        got = module.verify_range(start, end, budget=budget)
-        want = reference_range_sweep(start, end, budget=budget,
-                                     profile=derive_profile, stores=module._stores)
-        return report_to_json(got) != report_to_json(want)
-    return caught
+    """Catches a mutant whose sweep over [start, end], on cold stores,
+    reports or stores a member's stopping time otherwise than the per-d
+    reference."""
+    trial = make_trial(start, end - start, None, budget, "cold", None, 0)
+    return lambda module: run_trial(trial, module) is not None
 
 
 def stored_sigma_differs(start, end, poison=None):

@@ -13,10 +13,10 @@ from collatz_cover import (derive_profile, report_to_json, residue_class,
                            verify_conjecture1, verify_cyclic, verify_range,
                            verify_sigma_relation, verify_theorem1_symbolic)
 from collatz_cover.covering import RESIDUE_ORDER
-from oracles import (reference_range_sweep, unit_step_odd_descent,
-                     unit_step_odds, unit_step_sigma_memo)
-from random_range_differential import (ROW_MOVES, STORE_KINDS, make_trial,
-                                       rows_of, run_trial)
+from oracles import (fill_true_entries, reference_range_sweep,
+                     unit_step_odd_descent, unit_step_odds, unit_step_sigma_memo)
+from range_differential import (ROW_MOVES, STORE_KINDS, make_trial, rows_of,
+                                run_trial)
 
 
 def _oracle_deferred(first, end, budget):
@@ -55,15 +55,8 @@ def _table_entries(first, table):
 def _oracle_fill(limit):
     """A fill that stores the true stopping time of every odd value of the
     table up to ``limit``, as an earlier sweep would have."""
-    memo = {}
-
-    def fill(first, table):
-        for k in range(min(len(table), (limit - first) // 2 + 1)):
-            y = first + 2 * k
-            if y > 1:
-                table[k] = unit_step_sigma_memo(y, memo)
-
-    return fill
+    return lambda first, table: fill_true_entries(
+        table, first, min(len(table), (limit - first) // 2 + 1), {})
 
 
 def test_theorem1_at_default_depth():
@@ -358,14 +351,8 @@ def test_range_flags_a_cache_entry_the_table_contradicts(monkeypatch):
 def _shift_a_row(monkeypatch, i, m):
     """Replace row (i, m) with one whose offset is one modulus too high;
     returns the true row and the row's members up to 2001."""
+    monkeypatch.setattr(verify_module, "derive_profile", rows_of((i, m, "+modulus")))
     true = derive_profile(i, m)
-    shifted = SimpleNamespace(class_index=i, m=m, d_modulus=true.d_modulus,
-                              d_offset=true.d_offset + true.d_modulus)
-
-    def patched(ci, cm):
-        return shifted if (ci, cm) == (i, m) else derive_profile(ci, cm)
-
-    monkeypatch.setattr(verify_module, "derive_profile", patched)
     return true, range(true.d_offset, 2002, true.d_modulus)
 
 
@@ -496,63 +483,41 @@ def test_range_memory_stays_dense():
 
 
 # ------------------------------------------------ differential: per-d sweep
+#
+# Each case runs a trial of tests/range_differential.py: the report and
+# every walked member's stored stopping time must match the reference's.
+# Warm stores hold true stopping times for a prefix of the range, seeded 0.
 
-_MAKE_STORES = verify_module._stores
-
-
-def _stores_of(kind):
-    """A store factory for both sweeps: ``cold`` (empty) or ``warm`` (every
-    true stopping time of the range's lower half)."""
-    def stores(first, end):
-        table, below = _MAKE_STORES(first, end)
-        if kind == "warm":
-            _oracle_fill((first + end) // 2)(first, table)
-        return table, below
-    return stores
-
-
-def _same_report_as_per_d_sweep(monkeypatch, start, end, class_filter, budget,
-                                stores, profile=derive_profile):
-    monkeypatch.setattr(verify_module, "_stores", stores)
-    monkeypatch.setattr(verify_module, "derive_profile", profile)
-    want = reference_range_sweep(start, end, class_filter, budget,
-                                 profile=profile, stores=stores)
-    got = verify_range(start, end, class_filter, budget)
-    assert report_to_json(got) == report_to_json(want)
-
-
-@pytest.mark.parametrize("kind", ["cold", "warm"])
+@pytest.mark.parametrize("kind", STORE_KINDS)
 @pytest.mark.parametrize("budget", [60, 111, 10**7])
 @pytest.mark.parametrize("start", [1, 27, 2001])
-def test_range_reports_as_the_per_d_sweep(monkeypatch, start, budget, kind):
-    _same_report_as_per_d_sweep(monkeypatch, start, start + 6000, None, budget,
-                                _stores_of(kind))
+def test_range_reports_as_the_per_d_sweep(start, budget, kind):
+    assert run_trial(make_trial(start, 6000, None, budget, kind, None, 0)) is None
 
 
 @pytest.mark.parametrize("class_filter", range(1, 10))
-def test_range_reports_as_the_per_d_sweep_for_one_class(monkeypatch, class_filter):
+def test_range_reports_as_the_per_d_sweep_for_one_class(class_filter):
     start, budget, kind = [(1, 10**7, "warm"), (27, 111, "warm"),
                            (2001, 60, "cold")][class_filter % 3]
-    _same_report_as_per_d_sweep(monkeypatch, start, 12001, class_filter, budget,
-                                _stores_of(kind))
+    trial = make_trial(start, 12001 - start, class_filter, budget, kind, None, 0)
+    assert run_trial(trial) is None
 
 
 @pytest.mark.parametrize("how", ROW_MOVES)
 @pytest.mark.parametrize("m", range(1, 9))
-def test_range_reports_as_the_per_d_sweep_with_a_wrong_row(monkeypatch, m, how):
+def test_range_reports_as_the_per_d_sweep_with_a_wrong_row(m, how):
     i = 1 + (4 * m) % 9
     start, kind = [(1, "cold"), (27, "warm"), (2001, "warm")][m % 3]
     class_filter = i if how == "modulus/2" and m % 2 else None
-    _same_report_as_per_d_sweep(monkeypatch, start, start + 4000, class_filter,
-                                [60, 111, 10**7][m % 3], _stores_of(kind),
-                                rows_of((i, m, how)))
+    trial = make_trial(start, 4000, class_filter, [60, 111, 10**7][m % 3], kind,
+                       (i, m, how), 0)
+    assert run_trial(trial) is None
 
 
-@pytest.mark.parametrize("kind", ["cold", "warm"])
-def test_range_reports_as_the_per_d_sweep_where_deep_paths_fill(monkeypatch, kind):
+@pytest.mark.parametrize("kind", STORE_KINDS)
+def test_range_reports_as_the_per_d_sweep_where_deep_paths_fill(kind):
     # the deepest paths step by 2^12, and have members in every block here
-    _same_report_as_per_d_sweep(monkeypatch, 1, 2 * 10**5, None, 10**7,
-                                _stores_of(kind))
+    assert run_trial(make_trial(1, 2 * 10**5 - 1, None, 10**7, kind, None, 0)) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -568,8 +533,8 @@ def test_range_reports_as_the_per_d_sweep_where_deep_paths_fill(monkeypatch, kin
                                        st.sampled_from(ROW_MOVES))),
     seed=st.integers(0, 2**32 - 1)))
 def test_range_reports_as_the_per_d_sweep_on_random_shapes(trial):
-    # the trials of tests/random_range_differential.py, narrower: the
-    # report and every walked member's stored stopping time must match
+    # the random trials of tests/range_differential.py, narrower and drawn
+    # by hypothesis
     assert run_trial(trial) is None
 
 
@@ -677,38 +642,6 @@ def _lane_values(limit):
             if 0 <= v < 2**32]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_lane_fill_matches_the_per_entry_fill(data):
-    # a path, its first member d, a member count n whose targets all lie
-    # below d, as in a block of the sweep, and a table over [1, end] whose
-    # targets hold stopping times or lane values at a bound, and whose
-    # members hold 0 or what the walk through the target gives them, as
-    # in the sweep's table
-    descent = data.draw(st.sampled_from(_DEEP_PATHS))
-    _, stride, e, p, b, steps, _ = descent
-    d = descent[0] + stride * data.draw(st.integers(b // stride + 1, b // stride + 40))
-    n = next(k for k in range(data.draw(st.integers(1, 6)), 0, -1)
-             if (p * (d + stride * (k - 1)) + b) >> e < d)
-    members = range(d, d + stride * n, stride)
-    end = members[-1] + 2 * data.draw(st.integers(0, 40))
-    budget = data.draw(st.sampled_from(
-        [steps - 1, steps, steps + 1, steps + 200, 10**7, 10**7, 2**31 + 5]))
-    cap = min(budget, verify_module._LANE_MAX)
-    limit = cap - steps
-    sigmas = [1, max(1, limit), min(57, max(1, limit))] + _lane_values(limit)
-    table = array("I", [0]) * ((end - 1) // 2 + 1)
-    for y in members:
-        sigma = data.draw(st.sampled_from(sigmas))
-        table[(((p * y + b) >> e) - 1) >> 1] = sigma
-        walked = [0, sigma + steps] if sigma + steps < 2**32 else [0]
-        table[(y - 1) >> 1] = data.draw(st.sampled_from(walked))
-    lanes, entries = array("I", table), array("I", table)
-    got = verify_module._fill(lanes, 1, d, n, descent, cap)
-    assert got == _fill_by_entries(entries, 1, d, n, descent, cap)
-    assert lanes == entries
-
-
 def _fill_testing_every_entry(table, first, d, n, descent, cap):
     """``_fill_by_entries`` that also tests each odd value on the way in the
     table, and each member's own entry: each must hold 0 or what the walk
@@ -723,13 +656,16 @@ def _fill_testing_every_entry(table, first, d, n, descent, cap):
     return _fill_by_entries(table, first, d, n, descent, cap)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_lane_fill_above_the_floor_reads_only_targets(data):
-    # a table as the sweep leaves it: each target holds a stopping time,
-    # and each odd value on the way and each member's own entry 0 or what
-    # the walk through the target gives it. The fill that reads only the
-    # targets fills as one that also tests every other entry does
+def test_lane_fill_matches_the_per_entry_fill(data):
+    # a path, its first member d, a member count n whose targets all lie
+    # below d, as in a block of the sweep, and a table over [1, end] as the
+    # sweep leaves it: each target holds a stopping time or a lane value at
+    # a bound, and each odd value on the way and each member's own entry 0
+    # or what the walk through the target gives it. The fill that reads
+    # only the targets fills as one entry at a time does, and as one that
+    # also tests every other entry
     descent = data.draw(st.sampled_from(_DEEP_PATHS))
     _, stride, e, p, b, steps, _ = descent
     d = descent[0] + stride * data.draw(st.integers(b // stride + 1, b // stride + 40))
@@ -741,18 +677,20 @@ def test_lane_fill_above_the_floor_reads_only_targets(data):
     top = max(x for walk in walks for x, _ in walk)
     end = data.draw(st.one_of(st.just(top), st.integers(members[-1], top)))
     budget = data.draw(st.sampled_from(
-        [steps - 1, steps, steps + 1, steps + 200, 10**7, 2**31 + 5]))
+        [steps - 1, steps, steps + 1, steps + 200, 10**7, 10**7, 2**31 + 5]))
     cap = min(budget, verify_module._LANE_MAX)
     limit = cap - steps
+    sigmas = [1, max(1, limit), min(57, max(1, limit))] + _lane_values(limit)
     table = array("I", [0]) * ((end - 1) // 2 + 1)
     for y, walk in zip(members, walks):
         assert walk[-1] == ((p * y + b) >> e, steps)
-        sigma = data.draw(st.sampled_from([1, max(1, limit), min(57, max(1, limit))]))
+        sigma = data.draw(st.sampled_from(sigmas))
         table[(walk[-1][0] - 1) >> 1] = sigma
         for x, delta in walk[:-1] + [(y, 0)]:
             if x <= end:
                 walked = sigma + steps - delta
-                table[(x - 1) >> 1] = data.draw(st.sampled_from([0, walked]))
+                table[(x - 1) >> 1] = data.draw(
+                    st.sampled_from([0, walked] if walked < 2**32 else [0]))
     lanes, entries, tested = array("I", table), array("I", table), array("I", table)
     got = verify_module._fill(lanes, 1, d, n, descent, cap)
     assert got == _fill_by_entries(entries, 1, d, n, descent, cap)
