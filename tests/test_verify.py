@@ -656,16 +656,15 @@ def _fill_testing_every_entry(table, first, d, n, descent, cap):
     return _fill_by_entries(table, first, d, n, descent, cap)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_lane_fill_matches_the_per_entry_fill(data):
-    # a path, its first member d, a member count n whose targets all lie
-    # below d, as in a block of the sweep, and a table over [1, end] as the
-    # sweep leaves it: each target holds a stopping time or a lane value at
-    # a bound, and each odd value on the way and each member's own entry 0
-    # or what the walk through the target gives it. The fill that reads
-    # only the targets fills as one entry at a time does, and as one that
-    # also tests every other entry
+def _draw_swept_block(data):
+    """A path, its first member d, a member count n whose targets all lie
+    below d, as in a block of the sweep, the cap, and a table over [1, end]
+    as the sweep leaves it: each target holds a stopping time or a lane
+    value at a bound, and each odd value on the way and each member's own
+    entry 0 or what the walk through the target gives it (0 where that is
+    2^32 or more). An end below some values on the way cuts their slices
+    short. Returns (table, d, n, descent, cap, loose), loose the table
+    indices of the values on the way and the members' own entries."""
     descent = data.draw(st.sampled_from(_DEEP_PATHS))
     _, stride, e, p, b, steps, _ = descent
     d = descent[0] + stride * data.draw(st.integers(b // stride + 1, b // stride + 40))
@@ -673,7 +672,6 @@ def test_lane_fill_matches_the_per_entry_fill(data):
              if (p * (d + stride * (k - 1)) + b) >> e < d)
     members = range(d, d + stride * n, stride)
     walks = [unit_step_odd_descent(y) for y in members]
-    # an end below some values on the way cuts their slices short
     top = max(x for walk in walks for x, _ in walk)
     end = data.draw(st.one_of(st.just(top), st.integers(members[-1], top)))
     budget = data.draw(st.sampled_from(
@@ -682,6 +680,7 @@ def test_lane_fill_matches_the_per_entry_fill(data):
     limit = cap - steps
     sigmas = [1, max(1, limit), min(57, max(1, limit))] + _lane_values(limit)
     table = array("I", [0]) * ((end - 1) // 2 + 1)
+    loose = []
     for y, walk in zip(members, walks):
         assert walk[-1] == ((p * y + b) >> e, steps)
         sigma = data.draw(st.sampled_from(sigmas))
@@ -691,11 +690,41 @@ def test_lane_fill_matches_the_per_entry_fill(data):
                 walked = sigma + steps - delta
                 table[(x - 1) >> 1] = data.draw(
                     st.sampled_from([0, walked] if walked < 2**32 else [0]))
+                loose.append((x - 1) >> 1)
+    return table, d, n, descent, cap, loose
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lane_fill_matches_the_per_entry_fill(data):
+    # on a block as the sweep leaves it, the fill that reads only the
+    # targets fills as one entry at a time does, and as one that also
+    # tests every other entry
+    table, d, n, descent, cap, _ = _draw_swept_block(data)
     lanes, entries, tested = array("I", table), array("I", table), array("I", table)
     got = verify_module._fill(lanes, 1, d, n, descent, cap)
     assert got == _fill_by_entries(entries, 1, d, n, descent, cap)
     assert got == _fill_testing_every_entry(tested, 1, d, n, descent, cap)
     assert lanes == entries == tested
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lane_fill_above_the_floor_reads_only_targets(data):
+    # named for the stores' floor, now retired: every fill reads only its
+    # targets. A block as the sweep leaves it, with each value on the way
+    # and each member's own entry then set to any 32-bit value, fills as
+    # the block did, and as the per-entry fill does, and no entry but the
+    # members' is written
+    table, d, n, descent, cap, loose = _draw_swept_block(data)
+    swept = array("I", table)
+    for k in loose:
+        table[k] = data.draw(st.integers(0, 2**32 - 1))
+    lanes, entries = array("I", table), array("I", table)
+    got = verify_module._fill(lanes, 1, d, n, descent, cap)
+    assert got == verify_module._fill(swept, 1, d, n, descent, cap)
+    assert got == _fill_by_entries(entries, 1, d, n, descent, cap)
+    assert lanes == entries
 
 
 @pytest.mark.parametrize("cut",[False, True], ids=["whole", "cut short by end"])
