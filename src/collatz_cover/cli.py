@@ -346,10 +346,11 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         report = verify_conjecture1(bound, start=start)
     elif check == "sigma-relation":
         bound = _require_flag(args.bound, "--bound", check)
-        report = verify_sigma_relation(bound, budget=cfg.budget)
+        report = _sized_by("--bound", bound, verify_sigma_relation, bound,
+                           budget=cfg.budget)
     elif check == "cover":
         bound = _require_flag(args.bound, "--bound", check)
-        report = cover_audit(bound, cfg.max_m)
+        report = _sized_by("--bound", bound, cover_audit, bound, cfg.max_m)
     elif check == "cyclic":
         samples = args.samples if args.samples is not None else 100
         seed = args.seed if args.seed is not None else 0
@@ -359,8 +360,8 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         if args.class_index is not None and not 1 <= args.class_index <= 9:
             raise UsageError(f"class index must be in 1..9, got {args.class_index}")
         start = args.start if args.start is not None else 1
-        report = verify_range(start, end, class_filter=args.class_index,
-                              budget=cfg.budget)
+        report = _sized_by("--end", end, verify_range, start, end,
+                           class_filter=args.class_index, budget=cfg.budget)
     try:
         report = _validated(report)
     except ValueError as exc:
@@ -381,6 +382,15 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     if report.outcome == OUTCOME_DEFERRED:
         return EXIT_DEFERRED
     return EXIT_FAIL
+
+
+def _sized_by(flag: str, value: int, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, for a check whose table ``flag``'s value
+    sizes: a table too large to index names the flag."""
+    try:
+        return check(*args, **kwargs)
+    except OverflowError as exc:
+        raise OverflowError(f"{flag} {value} is too large for a table: {exc}") from exc
 
 
 def _validated(report):

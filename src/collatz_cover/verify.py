@@ -16,10 +16,13 @@ the walk's jumps too. As d steps along a path, that value steps by a fixed
 stride, so most members take their stopping times from slices of the
 table, each slice checked and filled as the 32-bit lanes of one int, and
 reading only its targets; every other member takes one walk from itself,
-which jumps along the same first descents. The sweep trusts its stores:
-any entry set before it began must be a true stopping time, and the stores
-``_stores`` makes are empty. Neither a fill nor a walk reads the entry of
-1, and the report depends only on the range, the class and the budget.
+which jumps along the same first descents. A sweep of one class mod 18
+fills nothing: the first descents of its members lie mostly in other
+classes, which it stores only where walks land, so every member walks.
+The sweep trusts its stores: any entry set before it began must be a true
+stopping time, and the stores ``_stores`` makes are empty. Neither a fill
+nor a walk reads the entry of 1, and the report depends only on the range,
+the class and the budget.
 """
 
 from __future__ import annotations
@@ -59,44 +62,42 @@ _ONES = ((1 << 32 * _LANES) - 1) // 0xFFFFFFFF
 #: whose target's entry is larger walks, as one over budget does.
 _LANE_MAX = (1 << 31) - 1
 
-#: The range sweep fills the odd d whose first descent is fixed by a
-#: progression of stride at most 2^_PATH_BITS (by d mod 2^_PATH_BITS, or by
-#: d mod 2^(_PATH_BITS - 4) within one class mod 18) from table slices, and
-#: walks the rest. Each bit more about doubles the paths and halves their
+#: The range sweep fills the odd d whose first descent is fixed by d mod
+#: 2^_PATH_BITS from table slices, walks the rest, and jumps by x mod
+#: 2^_PATH_BITS. Each bit more about doubles the paths and halves their
 #: members per block: on the full sweep to 1e6, 2^10 and 2^14 each took
 #: about 8% more time in-process than 2^12.
 _PATH_BITS = 12
 
 
 def _sweep_paths(class_filter: int | None):
-    """The range sweep's one path table, ``(paths, scalar, prefixes)``: a
-    partition of the odd d of ``class_filter`` (all classes for None), and
-    the odd steps each scalar residue fixes.
+    """The range sweep's one path table, ``(paths, scalar, jumps)``: a
+    partition of the odd d of ``class_filter`` (all classes for None) into
+    fill paths and scalar classes, and the walk's jumps by residue mod
+    2^_PATH_BITS.
 
     The residue of d mod 2^(e+1) fixes the odd-to-odd steps of d until e
     halvings (Terras 1976). One descent from d itself (c = 0) splits the odd
-    d by that residue, up to d mod 2^bits. A path is the class
+    d by that residue, up to d mod 2^_PATH_BITS. A path is the class
     d = r (mod 2^(e+1)) whose c-th odd value, the target (3^c*d + b)/2^e, is
     the first with 3^c < 2^e, which is below d once d(2^e - 3^c) > b, and
     each odd value before it lies above d; the paths with c = 1 hold the d
     with v(3d+1) = e >= 2. It is kept as (residue, stride, e, 3^c, b, c + e,
     gap): the target's table index steps by gap as d steps by stride. A
-    scalar class (residue, stride) holds the d whose descent needs bits or
-    more halvings. Under a class filter, each residue is met with the
-    class's by the CRT. ``prefixes`` holds, for each scalar residue r mod
-    2^bits before that lift, (r, (3^c, b, e, c + e)): every odd d = r
-    reaches its c-th odd value (3^c*d + b)/2^e after c + e unit steps, the
-    last that r fixes, with it and each odd value before it above d; None
-    in place of the tuple where r fixes not even the first odd step."""
-    bits = _PATH_BITS if class_filter is None else _PATH_BITS - 4  # 9 * 2^8 < 2^12
-    paths, prefixes = [], []
+    scalar class (residue, stride) holds the d whose descent needs
+    _PATH_BITS or more halvings. Under a class filter there are no paths,
+    and the one scalar class is the class mod 18: every member walks.
 
-    def lift(residue, modulus):
-        if class_filter is None:
-            return residue, modulus
-        s = RESIDUE_ORDER[class_filter - 1]
-        return next(c for c in range(residue, 9 * modulus, modulus)
-                    if c % 18 == s), 9 * modulus
+    Entry r of ``jumps`` is (3^c, b, e, c + e) when every odd x = r
+    (mod 2^_PATH_BITS) reaches its c-th odd value (3^c*x + b)/2^e after
+    c + e unit steps, with the odd values between above x. For the residue
+    of a path that value is x's first descent, the first odd value below x;
+    for a scalar residue it is the last odd value that r fixes, above x.
+    Only the residue with v(3x+1) >= _PATH_BITS, where r fixes not even the
+    first odd step, is None. The jumps are those of every class: a walk
+    leaves its class at once."""
+    jumps = [None] * (1 << _PATH_BITS)
+    paths = []
 
     def descend(r, k, c, e, b):
         # d = r (mod 2^k) is at its c-th odd value (3^c*d + b)/2^e, d itself
@@ -107,8 +108,9 @@ def _sweep_paths(class_filter: int | None):
             x = 3 * (p * r + b) + (1 << e)  # 2^e * (3*value + 1) at d = r
             v = (x & -x).bit_length() - 1
             if v >= k:  # the next valuation depends on the bit of d at 2^k
-                if k == bits:
-                    prefixes.append((r, (p, b, e, c + e) if c else None))
+                if k == _PATH_BITS:
+                    if c:
+                        jumps[r] = (p, b, e, c + e)
                     return [(r, 1 << k)]
                 split = (descend(r, k + 1, c, e, b)
                          + descend(r | 1 << k, k + 1, c, e, b))
@@ -116,30 +118,15 @@ def _sweep_paths(class_filter: int | None):
                 return [(r, 1 << k)] if split == whole else split
             c, e, b, p = c + 1, v, 3 * b + (1 << e), 3 * p
             if p < 1 << e:
-                residue, stride = lift(r, 2 << e)
-                paths.append((residue, stride, e, p, b, c + e, p * stride >> e + 1))
+                stride = 2 << e
+                paths.append((r, stride, e, p, b, c + e, p * stride >> e + 1))
+                jumps[r::stride] = [(p, b, e, c + e)] * (len(jumps) // stride)
                 return []
 
     scalar = descend(1, 1, 0, 0, 0)
-    return paths, [lift(r, modulus) for r, modulus in scalar], prefixes
-
-
-def _jump_table(paths, prefixes) -> list:
-    """The jumps of the range sweep's walk by residue mod 2^_PATH_BITS,
-    from ``_sweep_paths(None)``'s ``paths`` and ``prefixes``: entry r of the
-    list is (3^c, b, e, c + e) when every odd x = r (mod 2^_PATH_BITS)
-    reaches its c-th odd value (3^c*x + b)/2^e after c + e unit steps, with
-    the odd values between above x. For the residue of a path that value is
-    x's first descent, the first odd value below x; for a scalar residue it
-    is the last odd value that r fixes, above x. Only the residue with
-    v(3x+1) >= _PATH_BITS, where r fixes not even the first odd step, is
-    None."""
-    jumps = [None] * (1 << _PATH_BITS)
-    for residue, stride, e, p, b, steps, _ in paths:
-        jumps[residue::stride] = [(p, b, e, steps)] * ((1 << _PATH_BITS) // stride)
-    for r, prefix in prefixes:
-        jumps[r] = prefix
-    return jumps
+    if class_filter is not None:
+        return [], [(RESIDUE_ORDER[class_filter - 1], 18)], jumps
+    return paths, scalar, jumps
 
 
 def _nonzero(v: int, low: int, top: int) -> int:
@@ -479,10 +466,12 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     of the table, when every target is known and within budget (``_fill``):
     each member, and each odd value on the way, holds 0 or what the walk
     through the target gives it, so the fill reads the target slice only.
-    Every other member walks from d itself until 1 or a known entry of
-    either store, then stores the values it landed on that either store
-    admits. From each value x the walk jumps by x mod 2^12
-    (``_jump_table``): to the first odd value below x, or for a scalar
+    A class sweep has no paths: its members' targets lie mostly in other
+    classes, which it stores only where walks land. Every other member,
+    and every member of a class sweep, walks from d itself until 1 or a
+    known entry of either store, then stores the values it landed on that
+    either store admits. From each value x the walk jumps by x mod 2^12
+    (``_sweep_paths``): to the first odd value below x, or for a scalar
     residue along the odd steps that the residue fixes; from the one
     residue that fixes no step it takes one odd step. Where a walk of odd
     steps would stop at an entry that a jump or a fill passes, the jump or
@@ -542,12 +531,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
                     d, f"next odd strictly inside (54*{n}, 54*{n + 1})",
                     str((3 * d + 1) >> m)))
 
-    paths, scalar_classes, prefixes = _sweep_paths(None)
-    # a walk leaves the class at once, and a class's paths are lifted mod
-    # 9*2^(e+1), so the jumps come from the table of every class
-    jumps = _jump_table(paths, prefixes)
-    if class_filter is not None:
-        paths, scalar_classes, _ = _sweep_paths(class_filter)
+    paths, scalar_classes, jumps = _sweep_paths(class_filter)
     jump_mask = len(jumps) - 1
     cap = min(budget, _LANE_MAX)
     table, below = _stores(first, end)

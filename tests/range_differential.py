@@ -7,7 +7,7 @@ sweep that fills a wrong stopping time into an empty entry still passes.
 
 The script runs three parts:
 
-- the 9 full-size ``SHAPES``, each a trial on cold stores with the true
+- the 11 full-size ``SHAPES``, each a trial on cold stores with the true
   rows;
 - ``--trials`` seeded random trials. A trial draws a start at 1, near 1,
   up to 2^33, near 2^32 or near 2^33, and a width up to 2e4, both near 1
@@ -23,7 +23,7 @@ The script runs three parts:
   published one: sigma = 685 at 8400511, the delay record below 1e7 (OEIS
   A006877, A006878), which is odd and so in the sweep's table.
 
-Run from the repository root (about 10 s):
+Run from the repository root (about 12 s):
 
     PYTHONPATH=src python tests/range_differential.py [--trials N] [--seed S]
 
@@ -60,8 +60,9 @@ SHAPES = [
     # the sweep of `verify sigma-relation --bound 1000000`, which starts
     # above 1
     (3, 10**6, None, 10**7),
+    # class sweeps: every member walks, and its jumps leave the class at
+    # once, so the table holds few entries of the class's own members
     (1, 10**6, 9, 10**7),
-    # a class whose lift of the path residues differs from class 9's
     (1, 10**6, 4, 10**7),
     (500001, 10**6, None, 10**7),
     (2**33 + 1, 2**33 + 20001, None, 10**7),
@@ -72,6 +73,9 @@ SHAPES = [
     # a tight budget: walks above the end jump first descents, and many
     # cross the budget inside one
     (1, 3 * 10**5, None, 150),
+    # class sweeps in a far window and at a tight budget
+    (10**12 + 1, 10**12 + 20001, 3, 10**7),
+    (1, 3 * 10**5, 5, 150),
 ]
 
 #: (n, sigma(n)) of the delay record below 1e7

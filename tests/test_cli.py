@@ -342,6 +342,17 @@ def test_oversized_range_exits_1_without_traceback(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("check, flag", [("range", "--end"), ("cover", "--bound")],
+                         ids=["range", "cover"])
+def test_oversized_table_names_its_flag(capsys, check, flag):
+    code = main(["verify", check, flag, str(10**30)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: {flag} {10**30} is too large")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_memory_error_exits_1_without_traceback(capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError

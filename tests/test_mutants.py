@@ -35,11 +35,11 @@ SOURCE_DIR = Path(collatz_cover.__file__).parent
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def report_differs(start, end, budget=10**7):
-    """Catches a mutant whose sweep over [start, end], on cold stores,
-    reports or stores a member's stopping time otherwise than the per-d
-    reference."""
-    trial = make_trial(start, end - start, None, budget, "cold", None, 0)
+def report_differs(start, end, budget=10**7, class_filter=None):
+    """Catches a mutant whose sweep over [start, end], of one class or of
+    all, on cold stores, reports or stores a member's stopping time
+    otherwise than the per-d reference."""
+    trial = make_trial(start, end - start, class_filter, budget, "cold", None, 0)
     return lambda module: run_trial(trial, module) is not None
 
 
@@ -163,12 +163,16 @@ ROWS = [
     ("verify", "(((t & low) + (low - limit * ones)) | t) & top",
      "((t & low) + (low - limit * ones)) & top",
      fill_takes_a_lane_of_2_31, "fill takes a target of 2^31 or more"),
-    ("verify", "[(p, b, e, steps)]", "[(p, b, e, steps - 1)]",
+    ("verify", "[(p, b, e, c + e)] *", "[(p, b, e, c + e - 1)] *",
      stored_sigma_differs(1, 2001), "jump adds c + e - 1"),
     # 27 is a scalar residue mod 2^12: its jump is the prefix of 8 odd
     # steps, 19 unit steps, to 91, still above 27
-    ("verify", "(p, b, e, c + e) if c", "(p, b, e, c + e + 1) if c",
+    ("verify", "jumps[r] = (p, b, e, c + e)", "jumps[r] = (p, b, e, c + e + 1)",
      stored_sigma_differs(1, 2001), "prefix jump adds one step"),
+    ("verify", "RESIDUE_ORDER[class_filter - 1], 18)]",
+     "RESIDUE_ORDER[class_filter % 9], 18)]",
+     report_differs(2001, 12001, budget=60, class_filter=5),
+     "class sweep walks the next class"),
     # neither sweep reads the entry of 1, so only the stored entries differ
     ("verify", "known_min = max(first, 3)", "known_min = first",
      stored_sigma_differs(1, 11, poison={1: 50}), "fill reads the entry of 1"),

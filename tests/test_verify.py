@@ -503,6 +503,24 @@ def test_range_reports_as_the_per_d_sweep_for_one_class(class_filter):
     assert run_trial(trial) is None
 
 
+@pytest.mark.parametrize("start, end, budget", [
+    (2001, 12001, 60), (2**33 + 1, 2**33 + 4001, 300)])
+def test_class_sweep_walks_and_reports_as_the_unfiltered_sweep(monkeypatch, start,
+                                                               end, budget):
+    whole = verify_range(start, end, budget=budget)
+
+    def no_fill(*args):
+        raise AssertionError("a class sweep filled from the table")
+
+    monkeypatch.setattr(verify_module, "_fill", no_fill)
+    for k in range(1, 10):
+        report = verify_range(start, end, class_filter=k, budget=budget)
+        assert report.counterexamples == ()
+        assert report.deferred == tuple(
+            x for x in whole.deferred if x.input % 18 == RESIDUE_ORDER[k - 1])
+        assert report.items_checked == whole.details["per_class"][str(k)]
+
+
 @pytest.mark.parametrize("how", ROW_MOVES)
 @pytest.mark.parametrize("m", range(1, 9))
 def test_range_reports_as_the_per_d_sweep_with_a_wrong_row(m, how):
@@ -556,9 +574,13 @@ def test_every_odd_value_lies_in_one_fill_path_or_scalar_class(class_filter):
 @pytest.mark.parametrize("class_filter", [None, 4])
 def test_fill_paths_follow_the_unit_step_walk(class_filter):
     # each path's target is the first odd value below d, c odd steps and
-    # c + e unit steps on, as the unit steps find
-    limit = 2 ** (verify_module._PATH_BITS + 2)
+    # c + e unit steps on, as the unit steps find; a class sweep has no
+    # paths, and every member walks
     paths, _, _ = verify_module._sweep_paths(class_filter)
+    if class_filter is not None:
+        assert paths == []
+        return
+    limit = 2 ** (verify_module._PATH_BITS + 2)
     checked = 0
     for residue, stride, e, p, b, steps, gap in paths:
         assert p * stride >> e == 2 * gap
@@ -571,18 +593,19 @@ def test_fill_paths_follow_the_unit_step_walk(class_filter):
             assert descent[-1] == (target, steps), d
             assert len(descent) == steps - e, d
             checked += 1
-    assert checked > limit // (27 if class_filter else 3)
+    assert checked > limit // 3
 
 
 def test_jump_table_follows_the_unit_step_walk():
     # entry r takes every odd x = r (mod 2^12) to its c-th odd value, c + e
     # unit steps on, and every odd value before it lies above x: for a
     # path's residue that value is x's first descent, for a scalar residue
-    # it is the last that r fixes, still above x. Small x included
-    paths, _, prefixes = verify_module._sweep_paths(None)
-    jumps = verify_module._jump_table(paths, prefixes)
+    # it is the last that r fixes, still above x. Small x included. A
+    # class sweep walks by the same jumps
+    paths, _, jumps = verify_module._sweep_paths(None)
     modulus = 1 << verify_module._PATH_BITS
     assert len(jumps) == modulus
+    assert all(verify_module._sweep_paths(k)[2] == jumps for k in range(1, 10))
     assert all(entry is None for entry in jumps[::2])
     # r fixes not even the first odd step only where 2^12 divides 3r + 1
     assert [r for r in range(1, modulus, 2) if jumps[r] is None] == [
