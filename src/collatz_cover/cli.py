@@ -1,9 +1,11 @@
 """Command-line surface wiring the library into reproducible batch commands.
 
-Configuration precedence: built-in defaults, then the key=value config file
-named by the COLLATZ_COVER_CONFIG environment variable (or --config), then
-flags. Stdout carries data only and is byte-identical for identical inputs;
-logs and timing go to stderr.
+Settings: ``_SETTINGS`` holds each setting's config key, type and built-in
+default; the flag of the same name (``--max-m`` for max_m) sets it too.
+Precedence: the built-in default, then the key=value config file named by
+the COLLATZ_COVER_CONFIG environment variable (or --config), then the flag.
+Stdout carries data only and is byte-identical for identical inputs; logs
+and timing go to stderr.
 
 Exit codes: 0 pass, 1 fail or I/O error, 2 usage error, 3 deferred-only.
 """
@@ -14,26 +16,23 @@ import argparse
 import os
 import sys
 
+from . import _MODULE_OF, _SOURCES
 from .arith import BudgetExceededError, DEFAULT_BUDGET, sigma_infinity
 from .covering import ProfileTable, classify, digit_root_class, residue_class
 from .reports import (FORMATS, OUTCOME_DEFERRED, OUTCOME_PASS, aligned,
                       format_progression, render_rows, report_to_json,
                       report_to_text)
 
-#: Names of the modules that only some commands run: verify for the verify
-#: command, mapgen for map. ``_load`` binds them here on first use and the
-#: handlers call them as globals, so a wrapper already set on this module
-#: (the benchmark's tracer sets some) is the one called.
-_DEFERRED = {
-    "verify": ("cover_audit", "verify_conjecture1", "verify_cyclic",
-               "verify_range", "verify_sigma_relation",
-               "verify_theorem1_symbolic"),
-    "mapgen": ("build_schema", "build_sigma_schema", "render_str"),
-}
+#: The modules that only some commands run: verify for the verify command,
+#: mapgen for map. ``_load`` binds their names, as the package's _SOURCES
+#: lists them, here on first use and the handlers call them as globals, so
+#: a wrapper already set on this module (the benchmark's tracer sets some)
+#: is the one called.
+_DEFERRED = ("verify", "mapgen")
 
 
 def _load(module: str) -> None:
-    names = _DEFERRED[module]
+    names = _SOURCES[module]
     source = __import__(f"{__package__}.{module}", fromlist=names)
     bound = globals()
     for name in names:
@@ -41,11 +40,11 @@ def _load(module: str) -> None:
 
 
 def __getattr__(name: str):
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF.get(name)
+    if module not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
 
 
 CONFIG_ENV = "COLLATZ_COVER_CONFIG"
@@ -55,30 +54,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEFERRED = 3
 
-_CONFIG_KEYS = ("max_m", "budget", "format")
+#: Each setting's type and built-in default, by its config key.
+_SETTINGS = {"max_m": (int, 18), "budget": (int, DEFAULT_BUDGET),
+             "format": (str, "text")}
 
 
 class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
-
-
-class Config:
-    """Resolved settings: the built-in defaults until a config file or a
-    flag overrides them."""
-
-    def __init__(self, max_m: int = 18, budget: int = DEFAULT_BUDGET,
-                 output_format: str = "text"):
-        self.max_m = max_m
-        self.budget = budget
-        self.output_format = output_format
-
-    def validate(self) -> None:
-        if self.max_m < 1:
-            raise UsageError(f"max_m must be >= 1, got {self.max_m}")
-        if self.budget < 1:
-            raise UsageError(f"budget must be >= 1, got {self.budget}")
-        if self.output_format not in FORMATS:
-            raise UsageError(f"unknown format {self.output_format!r}")
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -96,55 +78,50 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _config_int(values: dict[str, str], key: str, fallback: int) -> int:
-    if key not in values:
-        return fallback
-    try:
-        return int(values[key])
-    except ValueError as exc:
-        raise UsageError(f"config key {key} needs an integer, got {values[key]!r}") from exc
-
-
-def resolve_config(args: argparse.Namespace) -> Config:
-    cfg = Config()
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-    if path:
-        values = _parse_config_file(path)
-        cfg.max_m = _config_int(values, "max_m", cfg.max_m)
-        cfg.budget = _config_int(values, "budget", cfg.budget)
-        cfg.output_format = values.get("format", cfg.output_format)
-    if getattr(args, "max_m", None) is not None:
-        cfg.max_m = args.max_m
-    if getattr(args, "budget", None) is not None:
-        cfg.budget = args.budget
-    if getattr(args, "format", None) is not None:
-        cfg.output_format = args.format
-    cfg.validate()
+def resolve_config(args: argparse.Namespace) -> None:
+    """Set on ``args`` each setting that no flag set, from the config file
+    or else its default, then check them all. A value in the file must
+    parse even where a flag overrides it."""
+    path = args.config or os.environ.get(CONFIG_ENV)
+    values = _parse_config_file(path) if path else {}
+    for key, (kind, default) in _SETTINGS.items():
+        raw = values.get(key, default)
+        try:
+            value = kind(raw)
+        except ValueError as exc:
+            raise UsageError(f"config key {key} needs an integer, got {raw!r}") from exc
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    for key in ("max_m", "budget"):
+        if getattr(args, key) < 1:
+            raise UsageError(f"{key} must be >= 1, got {getattr(args, key)}")
+    if args.format not in FORMATS:
+        raise UsageError(f"unknown format {args.format!r}")
     # --cache and --threads stay accepted while perfbench/ still passes them
-    if getattr(args, "threads", None) is not None and args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise UsageError(f"threads must be >= 1, got {args.threads}")
-    if getattr(args, "cache", None) is not None:
+    if args.cache is not None:
         print(f"note: --cache is ignored; {args.cache} is neither read nor written",
               file=sys.stderr)
-    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-m", dest="max_m", type=int,
-                        help="deepest exponent row to derive (default 18)")
+                        help="deepest exponent row to derive "
+                             f"(default {_SETTINGS['max_m'][1]})")
     common.add_argument("--budget", type=int,
                         help="unit-step ceiling per stopping-time input")
     common.add_argument("--cache", metavar="FILE",
                         help="ignored: no stopping-time cache file is kept")
     common.add_argument("--format", choices=FORMATS,
-                        help="output format (default text)")
+                        help=f"output format (default {_SETTINGS['format'][1]})")
     common.add_argument("--threads", type=int,
                         help="ignored (must be >= 1): sweeps run serially")
     common.add_argument("--output", metavar="FILE", help="write data here instead of stdout")
@@ -180,13 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=("theorem1", "conjecture1", "sigma-relation",
                                      "cover", "cyclic", "range"))
     p.add_argument("--bound", type=int, help="inclusive odd-range bound")
-    p.add_argument("--start", type=int, help="range start (default 1)")
+    p.add_argument("--start", type=int, default=1,
+                   help="range start (default %(default)s)")
     p.add_argument("--end", type=int, help="range end (for: range)")
     p.add_argument("--class", dest="class_index", type=int,
                    help="restrict range sweep to one class")
-    p.add_argument("--samples", type=int,
-                   help="members sampled per class (for: cyclic, default 100)")
-    p.add_argument("--seed", type=int, help="sampling seed (for: cyclic, default 0)")
+    p.add_argument("--samples", type=int, default=100,
+                   help="members sampled per class (for: cyclic, default %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="sampling seed (for: cyclic, default %(default)s)")
     return parser
 
 
@@ -212,9 +191,12 @@ def _emit(text: str, output: str | None) -> int:
         sys.stdout.write(text)
         return EXIT_PASS
     try:
-        if os.path.exists(output) and not os.path.isfile(output):
+        if os.path.basename(output) in ("", ".", "..") or (
+                os.path.exists(output) and not os.path.isfile(output)):
             # a device or a pipe, such as /dev/null, is written in place:
-            # replacing it would put a file where it was
+            # replacing it would put a file where it was; and so is a
+            # directory-like target (sub/, ""), which realpath would make a
+            # file name, so that its open fails before anything is written
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:  # through a symlink, to the file it names
@@ -240,12 +222,12 @@ def _parse_values(raw_values, require_odd: bool) -> list[int]:
     return values
 
 
-def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     if args.class_index is not None and not 1 <= args.class_index <= 9:
         raise UsageError(f"class index must be in 1..9, got {args.class_index}")
-    rows = [p.row_dict() for p in ProfileTable.build(cfg.max_m).rows
+    rows = [p.row_dict() for p in ProfileTable.build(args.max_m).rows
             if args.class_index is None or p.class_index == args.class_index]
-    return _emit(render_rows(rows, cfg.output_format, _table_text), args.output)
+    return _emit(render_rows(rows, args.format, _table_text), args.output)
 
 
 def _table_text(rows: list[dict]) -> str:
@@ -257,21 +239,21 @@ def _table_text(rows: list[dict]) -> str:
         for r in rows])
 
 
-def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_map(args: argparse.Namespace) -> int:
     _load("mapgen")
     if args.which == "schema":
-        table = build_schema(cfg.max_m)
+        table = build_schema(args.max_m)
     else:
-        table = build_sigma_schema(cfg.max_m)
-    return _emit(render_str(table, cfg.output_format), args.output)
+        table = build_sigma_schema(args.max_m)
+    return _emit(render_str(table, args.format), args.output)
 
 
-def cmd_sigma(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_sigma(args: argparse.Namespace) -> int:
     values = _parse_values(args.values, require_odd=False)
     rows = []
     for d in values:
         try:
-            sigma = sigma_infinity(d, budget=cfg.budget)
+            sigma = sigma_infinity(d, budget=args.budget)
         except BudgetExceededError:
             sigma = None
         row = {"d": d, "sigma": sigma, "class": None, "m": None, "next": None}
@@ -281,7 +263,7 @@ def cmd_sigma(args: argparse.Namespace, cfg: Config) -> int:
                         "next": (3 * d + 1) >> profile.m})
         row["status"] = "deferred" if sigma is None else "ok"
         rows.append(row)
-    code = _emit(render_rows(rows, cfg.output_format, _sigma_text), args.output)
+    code = _emit(render_rows(rows, args.format, _sigma_text), args.output)
     if code != EXIT_PASS:
         return code
     if any(row["sigma"] is None for row in rows):
@@ -301,7 +283,7 @@ def _sigma_text(rows: list[dict]) -> str:
     return "".join(lines)
 
 
-def cmd_classify(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
     values = _parse_values(args.values, require_odd=True)
     rows = []
     for d in values:
@@ -316,7 +298,7 @@ def cmd_classify(args: argparse.Namespace, cfg: Config) -> int:
         rows.append({"d": d, "class": by_mod, "digit_root_class": by_digits,
                      "residue": p.residue, "m": p.m, "d_modulus": p.d_modulus,
                      "d_offset": p.d_offset, "n": n, "next": (3 * d + 1) >> p.m})
-    return _emit(render_rows(rows, cfg.output_format, _classify_text), args.output)
+    return _emit(render_rows(rows, args.format, _classify_text), args.output)
 
 
 def _classify_text(rows: list[dict]) -> str:
@@ -333,41 +315,37 @@ def _require_flag(value, flag: str, check: str):
     return value
 
 
-def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
-    if cfg.output_format == "csv":
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.format == "csv":
         raise UsageError("verify reports support text or json output")
     _load("verify")
     check = args.check
     if check == "theorem1":
-        report = verify_theorem1_symbolic(cfg.max_m)
+        report = verify_theorem1_symbolic(args.max_m)
     elif check == "conjecture1":
         bound = _require_flag(args.bound, "--bound", check)
-        start = args.start if args.start is not None else 1
-        report = verify_conjecture1(bound, start=start)
+        report = verify_conjecture1(bound, start=args.start)
     elif check == "sigma-relation":
         bound = _require_flag(args.bound, "--bound", check)
         report = _sized_by("--bound", bound, verify_sigma_relation, bound,
-                           budget=cfg.budget)
+                           budget=args.budget)
     elif check == "cover":
         bound = _require_flag(args.bound, "--bound", check)
-        report = _sized_by("--bound", bound, cover_audit, bound, cfg.max_m)
+        report = _sized_by("--bound", bound, cover_audit, bound, args.max_m)
     elif check == "cyclic":
-        samples = args.samples if args.samples is not None else 100
-        seed = args.seed if args.seed is not None else 0
-        report = verify_cyclic(samples_per_class=samples, seed=seed)
+        report = verify_cyclic(samples_per_class=args.samples, seed=args.seed)
     else:
         end = _require_flag(args.end, "--end", check)
         if args.class_index is not None and not 1 <= args.class_index <= 9:
             raise UsageError(f"class index must be in 1..9, got {args.class_index}")
-        start = args.start if args.start is not None else 1
-        report = _sized_by("--end", end, verify_range, start, end,
-                           class_filter=args.class_index, budget=cfg.budget)
+        report = _sized_by("--end", end, verify_range, args.start, end,
+                           class_filter=args.class_index, budget=args.budget)
     try:
         report = _validated(report)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    if cfg.output_format == "json":
+    if args.format == "json":
         text = report_to_json(report)
     else:
         text = report_to_text(report)
@@ -428,8 +406,8 @@ def _run(argv) -> int:
     except SystemExit as exc:  # argparse already reported usage/help
         return int(exc.code or 0)
     try:
-        cfg = resolve_config(args)
-        return _HANDLERS[args.command](args, cfg)
+        resolve_config(args)
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

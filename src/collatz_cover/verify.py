@@ -30,7 +30,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain
 from operator import itemgetter
-from sys import byteorder
+from sys import byteorder, maxsize
 from time import perf_counter
 
 from .arith import (BudgetExceededError, DEFAULT_BUDGET, sigma_infinity,
@@ -170,6 +170,16 @@ def _fill(table: array, first: int, d: int, n: int, descent, cap: int) -> bool:
     return True
 
 
+def _zeros(n: int) -> array:
+    """A table of ``n`` zero entries of 4 bytes. A table whose byte size
+    cannot be indexed raises OverflowError, where the array repeat would
+    raise an empty MemoryError, so that the CLI names the flag that sized
+    it."""
+    if n > maxsize // 4:
+        raise OverflowError(f"cannot index {n} entries of 4 bytes")
+    return array("I", [0]) * n
+
+
 def _stores(first: int, end: int) -> tuple[array, dict[int, int]]:
     """A range sweep's two stopping-time stores, for odd first >= 1, both
     empty. The dense table covers the odd values of [first, end]:
@@ -178,7 +188,7 @@ def _stores(first: int, end: int) -> tuple[array, dict[int, int]]:
     dict maps odd values below ``min(first, _BELOW_MAX)`` to their stopping
     times. The sweep trusts every entry it meets: an entry set here, as
     tests do to pre-fill the stores, must be a true stopping time."""
-    return array("I", [0]) * ((end - first) // 2 + 1), {}
+    return _zeros((end - first) // 2 + 1), {}
 
 
 def _row_faults(i: int, m: int, offset: int, modulus: int) -> list:
@@ -273,7 +283,7 @@ def membership_counts(bound: int, profiles) -> array:
     (d-1)//2. Each progression is walked by its own stride, so the count
     costs O(bound + len(profiles)) rather than a test per pair."""
     size = (bound + 1) // 2
-    counts = array("I", [0]) * size
+    counts = _zeros(size)
     for p in profiles:
         for index in range(p.d_offset // 2, size, p.d_modulus // 2):
             counts[index] += 1

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import stat
@@ -253,6 +254,32 @@ def test_config_rejects_bad_int(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_value_must_parse_even_under_a_flag(capsys, tmp_path):
+    # a bad integer in the file is a usage error even where a flag sets its
+    # key; a bad format in the file is overridden by --format unread
+    config = tmp_path / "cover.conf"
+    config.write_text("max_m = lots\n")
+    code, out, err = run(capsys, "table", "--max-m", "3", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == "usage error: config key max_m needs an integer, got 'lots'\n"
+    config.write_text("format = xml\n")
+    code, out, err = run(capsys, "table", "--max-m", "1", "--format", "csv",
+                         "--config", str(config))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "table", "--max-m", "1", "--format", "csv")[1]
+
+
+def test_config_budget_reaches_the_range_sweep(capsys, tmp_path):
+    config = tmp_path / "cover.conf"
+    config.write_text("budget = 50\n")
+    code, _, _ = run(capsys, "verify", "range", "--end", "2001")
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "range", "--end", "2001",
+                       "--config", str(config))
+    assert code == 3
+    assert "outcome: deferred" in out
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "table", "--max-m", "1", "--format", "csv",
@@ -300,6 +327,28 @@ def test_output_write_failure_keeps_the_earlier_file(capsys, monkeypatch,
     assert os.listdir(tmp_path) == ["rows.csv"]
 
 
+@pytest.mark.parametrize("target, earlier", [
+    ("sub/", None), ("sub/", "earlier report\n"), ("", None), ("sub/.", None),
+], ids=["slash", "slash-over-a-file", "empty", "dot"])
+def test_output_naming_a_directory_is_refused(capsys, monkeypatch, tmp_path,
+                                              target, earlier):
+    # realpath drops a trailing slash or dot: such a target fails before
+    # anything is written, and no file is made or replaced, here or beside
+    # the working directory
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if earlier is not None:
+        (cwd / "sub").write_text(earlier)
+    code, out, err = run(capsys, "sigma", "27", "--output", target)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {target}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["cwd"]
+    assert os.listdir(cwd) == ([] if earlier is None else ["sub"])
+    if earlier is not None:
+        assert (cwd / "sub").read_text() == earlier
+
+
 def test_output_through_a_symlink_or_to_a_device(capsys, tmp_path):
     # a symlink stays one, and the file it names takes the output; a
     # device, which no file may replace, is written in place
@@ -342,13 +391,20 @@ def test_oversized_range_exits_1_without_traceback(capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("check, flag", [("range", "--end"), ("cover", "--bound")],
-                         ids=["range", "cover"])
-def test_oversized_table_names_its_flag(capsys, check, flag):
-    code = main(["verify", check, flag, str(10**30)])
+@pytest.mark.parametrize("check, flag, value", [
+    ("range", "--end", 10**30),
+    ("cover", "--bound", 10**30),
+    # 5e18 entries fit an index, but their 2e19 bytes do not: the table is
+    # refused before the array repeat would raise an empty MemoryError
+    ("range", "--end", 10**19),
+    ("cover", "--bound", 10**19),
+    ("sigma-relation", "--bound", 10**19),
+], ids=["range", "cover", "range-1e19", "cover-1e19", "sigma-relation-1e19"])
+def test_oversized_table_names_its_flag(capsys, check, flag, value):
+    code = main(["verify", check, flag, str(value)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err.startswith(f"error: {flag} {10**30} is too large")
+    assert captured.err.startswith(f"error: {flag} {value} is too large")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 
@@ -595,6 +651,13 @@ def test_a_wrapper_bound_before_first_use_is_kept():
     result = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
                             capture_output=True, text=True, timeout=60)
     assert result.stdout.splitlines()[-1] == "0 1 True"
+
+
+@pytest.mark.parametrize("module", ["verify", "mapgen"])
+def test_every_name_of_a_deferred_module_resolves_on_cli(module):
+    source = importlib.import_module(f"collatz_cover.{module}")
+    for name in collatz_cover._SOURCES[module]:
+        assert getattr(cli, name) is getattr(source, name), name
 
 
 def test_package_exports_every_public_name():
