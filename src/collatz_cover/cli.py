@@ -363,12 +363,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sized_by(flag: str, value: int, check, *args, **kwargs):
-    """``check(*args, **kwargs)``, for a check whose table ``flag``'s value
-    sizes: a table too large to index names the flag."""
+    """``check(*args, **kwargs)``, for a check whose table or list ``flag``'s
+    value sizes: one that cannot fit names the flag."""
     try:
         return check(*args, **kwargs)
     except OverflowError as exc:
-        raise OverflowError(f"{flag} {value} is too large for a table: {exc}") from exc
+        raise OverflowError(f"{flag} {value} is too large: {exc}") from exc
 
 
 def _validated(report):

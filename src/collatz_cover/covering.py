@@ -68,14 +68,18 @@ class Profile(NamedTuple):
         }
 
 
-@lru_cache(maxsize=None)
+#: The memo is bounded: a row at m holds ints of m bits, and a proof of the
+#: rows to m = 10^4 derives each of its 90,018 rows once.
+@lru_cache(maxsize=1024)
 def derive_profile(i: int, m: int) -> Profile:
     """Construct the unique progression of class i needing exactly m halvings.
 
     Solves x = S[i] (mod 18) together with 3x+1 = 2^m (mod 2^(m+1)); both
     congruences already force x odd, so they reduce to the coprime pair
-    x = S[i] (mod 9), x = (2^m - 1)/3 (mod 2^(m+1)) and CRT gives one
-    solution in [0, 18*2^m).
+    x = S[i] (mod 9), x = t (mod 2^(m+1)) and CRT gives one solution in
+    [0, 18*2^m); t = (2^m - 1)/3 for even m and (5*2^m - 1)/3 for odd m, so
+    no long division runs at large m. The audits prove each row they use
+    (``verify._row_faults``).
     """
     if not 1 <= i <= 9:
         raise ValueError(f"class index must be in 1..9, got {i}")
@@ -83,13 +87,10 @@ def derive_profile(i: int, m: int) -> Profile:
         raise ValueError(f"exponent must be >= 1, got {m}")
     r = RESIDUE_ORDER[i - 1]
     two = 1 << (m + 1)
-    t = ((1 << m) - 1) * pow(3, -1, two) % two
-    k = (r - t) * pow(two, -1, 9) % 9
+    t = (((5 if m & 1 else 1) << m) - 1) // 3
+    k = (r - t) * pow(5, m + 1, 9) % 9  # 5 = 1/2 (mod 9), so 1/two (mod 9)
     d_offset = t + two * k
     d_modulus = 9 * two  # 18 * 2^m
-    assert 0 <= d_offset < d_modulus and d_offset % 18 == r
-    next_offset, rem = divmod(3 * d_offset + 1, 1 << m)
-    assert rem == 0 and next_offset & 1 and next_offset < 54
     return Profile(
         class_index=i,
         residue=r,
@@ -99,7 +100,7 @@ def derive_profile(i: int, m: int) -> Profile:
         d_modulus=d_modulus,
         even_offset=3 * d_offset + 1,
         even_modulus=3 * d_modulus,
-        next_offset=next_offset,
+        next_offset=(3 * d_offset + 1) >> m,
     )
 
 

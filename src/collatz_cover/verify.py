@@ -1,11 +1,10 @@
 """Machine verification: symbolic identities, empirical audits, range sweeps.
 
 The 162-row determinism claim is checked symbolically, as exact integer
-coefficient identities in n, not by sampling; the exactly-once cover, the
-boundedness and the stopping-time recurrence claims are audited over explicit
-ranges. The boundedness audit and the range sweep prove each progression row
-they need once (``_row_faults``): a proved row puts every odd d of its class
-and valuation at d = 18*2^m*n + offset with 54n < (3d+1)/2^m < 54(n+1), so
+coefficient identities in n, not by sampling. The exactly-once cover, the
+boundedness audit and the range sweep prove each progression row they need
+once (``_row_faults``): a proved row is exactly the odd d of its class and
+valuation, at d = 18*2^m*n + offset with 54n < (3d+1)/2^m < 54(n+1), so
 only the members of a row that fails are checked one by one. The range
 sweep, which the recurrence audit runs through, keeps the stopping times it
 finds in a dense table of 4 bytes per odd value of its range, and those of
@@ -27,14 +26,15 @@ the class and the budget.
 
 from __future__ import annotations
 
+import os
 from array import array
+from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from sys import byteorder, maxsize
 from time import perf_counter
 
-from .arith import (BudgetExceededError, DEFAULT_BUDGET, sigma_infinity,
-                    two_adic_valuation)
+from .arith import BudgetExceededError, DEFAULT_BUDGET, sigma_infinity
 from .covering import RESIDUE_ORDER, cyclic_recurrence_check, derive_profile
 from .reports import Counterexample, Deferred, VerifyReport, build_report
 
@@ -170,14 +170,23 @@ def _fill(table: array, first: int, d: int, n: int, descent, cap: int) -> bool:
     return True
 
 
-def _zeros(n: int) -> array:
-    """A table of ``n`` zero entries of 4 bytes. A table whose byte size
-    cannot be indexed raises OverflowError, where the array repeat would
-    raise an empty MemoryError, so that the CLI names the flag that sized
-    it."""
-    if n > maxsize // 4:
-        raise OverflowError(f"cannot index {n} entries of 4 bytes")
-    return array("I", [0]) * n
+def _require_memory(what: str, entries: int, width: int) -> None:
+    """Refuse a table or list of more bytes than the largest index, the soft
+    RLIMIT_AS or physical memory, before any of it is made, with the
+    OverflowError that the CLI reports under the flag that sized it."""
+    limits = [(maxsize, "the largest index")]
+    if os.name == "posix":
+        import resource  # loaded on use, by the checks that size a table
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append((soft, "the soft RLIMIT_AS"))
+        limits.append((os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"),
+                       "physical memory"))
+    limit, source = min(limits)
+    if entries * width > limit:
+        raise OverflowError(f"{what} needs {entries} entries of {width} bytes, "
+                            f"{entries * width} in all, more than {source} "
+                            f"({limit} bytes)")
 
 
 def _stores(first: int, end: int) -> tuple[array, dict[int, int]]:
@@ -186,9 +195,10 @@ def _stores(first: int, end: int) -> tuple[array, dict[int, int]]:
     ``table[(y - first) >> 1]`` holds sigma(y), 0 while unknown. The entry
     of 1 is never stored or read: sigma(1) = 0, and 1 ends every walk. The
     dict maps odd values below ``min(first, _BELOW_MAX)`` to their stopping
-    times. The sweep trusts every entry it meets: an entry set here, as
-    tests do to pre-fill the stores, must be a true stopping time."""
-    return _zeros((end - first) // 2 + 1), {}
+    times; the sweep trusts what a test sets in either (see the module)."""
+    n = (end - first) // 2 + 1
+    _require_memory("the table", n, 4)
+    return array("I", [0]) * n, {}
 
 
 def _row_faults(i: int, m: int, offset: int, modulus: int) -> list:
@@ -198,10 +208,9 @@ def _row_faults(i: int, m: int, offset: int, modulus: int) -> list:
         3*(18*2^m * n + offset) + 1 == 2^m * (54n + a),   a odd, a < 54,
 
     with offset in [0, 18*2^m) and offset = S[i] (mod 18); none when it holds.
-    A proved row holds every odd d of class i with v(3d+1) = m (the odd d of
-    the class form one residue class mod 18*2^m, by the CRT, and offset is
-    in it), each at n >= 0 and landing on 54n + a, strictly inside
-    (54n, 54(n+1))."""
+    A proved row is exactly the odd d of class i with v(3d+1) = m (one
+    residue class mod 18*2^m, by the CRT, whose least member is offset),
+    each at n >= 0 and landing on 54n + a, strictly inside (54n, 54(n+1))."""
     r = RESIDUE_ORDER[i - 1]
     faults = []
     if modulus != 18 << m:
@@ -218,12 +227,11 @@ def _row_faults(i: int, m: int, offset: int, modulus: int) -> list:
     return faults
 
 
-def _failing_rows(classes, end: int):
-    """(i, m, offset, modulus) of each row of ``classes`` that fails its
-    proof, for m up to (3*end+1).bit_length(): every odd d <= end has a
-    smaller valuation v(3d+1)."""
+def _failing_rows(max_m: int, classes=range(1, 10)):
+    """(i, m, offset, modulus) of each failing row of ``classes``, m <= max_m:
+    to (3*end+1).bit_length(), every row that can hold an odd d <= end."""
     for i in classes:
-        for m in range(1, (3 * end + 1).bit_length() + 1):
+        for m in range(1, max_m + 1):
             p = derive_profile(i, m)
             if _row_faults(i, m, p.d_offset, p.d_modulus):
                 yield i, m, p.d_offset, p.d_modulus
@@ -278,53 +286,41 @@ def verify_theorem1_symbolic(max_m: int) -> VerifyReport:
     )
 
 
-def membership_counts(bound: int, profiles) -> array:
-    """How many of ``profiles`` contain each odd d <= bound, indexed by
-    (d-1)//2. Each progression is walked by its own stride, so the count
-    costs O(bound + len(profiles)) rather than a test per pair."""
-    size = (bound + 1) // 2
-    counts = _zeros(size)
-    for p in profiles:
-        for index in range(p.d_offset // 2, size, p.d_modulus // 2):
-            counts[index] += 1
-    return counts
-
-
 def cover_audit(bound: int, max_m: int) -> VerifyReport:
-    """Check the exactly-once cover over all odd d <= bound.
+    """Check the exactly-once cover of the odd d <= bound by the 9*max_m rows.
 
-    Counts, for each odd d, how many of the 9*max_m progressions contain it.
-    Multiple matches are failures. Zero matches are legitimate only when the
-    valuation of 3d+1 exceeds max_m (the progression exists in a deeper row);
-    those are reported as deferred, anything else as a failure.
-    """
+    When every row holds its proof, the odd d with v(3d+1) <= max_m are each
+    matched once, and the unmatched d are the residue class 3d + 1 = 0
+    (mod 2^(max_m+1)), each deferred to a deeper row. Only the odd d that a
+    failing row misses, or claims outside its own row, are counted one by
+    one. A d matched more than once fails, and so does an unmatched d with
+    v(3d+1) <= max_m."""
     start = perf_counter()
     if bound < 3:
         raise ValueError(f"bound must be >= 3, got {bound}")
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
-    profiles = [derive_profile(i, m)
-                for i in range(1, 10) for m in range(1, max_m + 1)]
-    counts = membership_counts(bound, profiles)
-
-    counterexamples = []
-    deferred = []
-    matched_once = 0
-    multiply_matched = []
-    unmatched = []
-    for index, count in enumerate(counts):
-        if count == 1:
-            matched_once += 1
-            continue
-        d = 2 * index + 1
+    moved = Counter()  # how far failing rows move each d's count off 1 or 0
+    for i, m, offset, modulus in _failing_rows(max_m):
+        moved.update(d for d in range(max(offset, offset % modulus), bound + 1,
+                                      modulus) if d & 1)
+        moved.subtract(_true_members(i, m, 1, bound))
+    step = 2 << max_m
+    deep = range(-pow(3, -1, step) % step, bound + 1, step)
+    # a JSON report peaked at 1062 bytes per unmatched d (CPython 3.11, x86-64)
+    _require_memory("the list of unmatched d", (bound - deep.start) // step + 1, 1100)
+    counterexamples, deferred, multiply_matched, unmatched = [], [], [], []
+    for d in sorted(moved.keys() | set(deep)) if moved else deep:
+        x = 3 * d + 1
+        count = bool(x & (step - 1)) + moved[d]
         if count > 1:
             multiply_matched.append(d)
             counterexamples.append(Counterexample(
                 d, "membership in exactly one progression",
                 f"{count} progressions"))
-        else:
+        elif count == 0:
             unmatched.append(d)
-            m = two_adic_valuation(3 * d + 1)[0]
+            m = (x & -x).bit_length() - 1
             if m <= max_m:
                 counterexamples.append(Counterexample(
                     d, f"membership in the class row for m={m}",
@@ -332,15 +328,16 @@ def cover_audit(bound: int, max_m: int) -> VerifyReport:
             else:
                 deferred.append(Deferred(
                     d, f"valuation {m} exceeds max_m {max_m}"))
+    odds = (bound + 1) // 2
     return build_report(
         "cover-audit",
         {"bound": bound, "max_m": max_m},
         counterexamples=counterexamples,
         deferred=deferred,
-        items_checked=(bound + 1) // 2,
+        items_checked=odds,
         elapsed_s=perf_counter() - start,
         details={
-            "matched_once": matched_once,
+            "matched_once": odds - len(multiply_matched) - len(unmatched),
             "multiply_matched": multiply_matched,
             "unmatched": unmatched,
         },
@@ -362,7 +359,7 @@ def verify_conjecture1(bound: int, start: int = 1) -> VerifyReport:
     if first > bound:
         raise ValueError(f"no odd integers in [{start}, {bound}]")
     counterexamples = []
-    for i, m, offset, modulus in _failing_rows(range(1, 10), bound):
+    for i, m, offset, modulus in _failing_rows((3 * bound + 1).bit_length()):
         for d in _true_members(i, m, first, bound):
             n = (d - offset) // modulus
             target = (3 * d + 1) >> m
@@ -528,7 +525,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
         classes = (class_filter,)
     counterexamples: list[Counterexample] = []
     skip = set()  # members that failed reconstruction
-    for i, m, offset, modulus in _failing_rows(classes, end):
+    for i, m, offset, modulus in _failing_rows((3 * end + 1).bit_length(), classes):
         for d in _true_members(i, m, lo, end):
             n, rem = divmod(d - offset, modulus)
             if rem or n < 0:

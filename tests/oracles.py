@@ -4,13 +4,18 @@ These deliberately avoid the library's compressed odd-to-odd machinery: the
 stopping-time oracles simulate the raw unit-step map (3n+1 on odd, n/2 on
 even) and the valuation oracle counts factors of two by repeated division.
 
-``reference_range_sweep`` is different in kind: it keeps a plain per-d form
-of the range sweep, every check made once for each odd integer in ascending
-order, against which ``verify_range``'s row proofs and table slices are
-compared report for report.
+``reference_range_sweep`` and ``reference_cover_audit`` are different in
+kind. The first keeps a plain per-d form of the range sweep, every check
+made once for each odd integer in ascending order, against which
+``verify_range``'s row proofs and table slices are compared report for
+report. The second counts, for each odd d, the progressions that hold it,
+with a stride sieve, against which ``cover_audit``'s row proofs are
+compared.
 """
 
 from __future__ import annotations
+
+from array import array
 
 
 def unit_step_sigma(n: int) -> int:
@@ -172,4 +177,61 @@ def reference_range_sweep(start: int, end: int, class_filter=None,
         deferred=deferred,
         items_checked=items,
         details={"per_class": {str(i): per_class[i] for i in range(1, 10)}},
+    )
+
+
+def membership_counts(bound: int, profiles) -> array:
+    """How many of ``profiles`` contain each odd d <= bound, indexed by
+    (d-1)//2. Each progression d_modulus*n + d_offset, n >= 0, is walked by
+    its own stride from its first member d >= 0, so the count costs
+    O(bound + len(profiles)) rather than a test per pair. The offset must
+    be odd and the modulus even, as in every row of ``derive_profile`` and
+    every moved row of the tests."""
+    size = (bound + 1) // 2
+    counts = array("I", [0]) * size
+    for p in profiles:
+        first = max(p.d_offset, p.d_offset % p.d_modulus)
+        for index in range(first // 2, size, p.d_modulus // 2):
+            counts[index] += 1
+    return counts
+
+
+def reference_cover_audit(bound: int, max_m: int, *, profile):
+    """The cover audit as a count of the progressions ``profile(i, m)``,
+    m <= max_m, that hold each odd d <= bound, for differential tests of
+    ``cover_audit``. Returns the same ``VerifyReport``, with no timing."""
+    from collatz_cover.reports import Counterexample, Deferred, build_report
+
+    profiles = [profile(i, m) for i in range(1, 10) for m in range(1, max_m + 1)]
+    counts = membership_counts(bound, profiles)
+    counterexamples, deferred, multiply_matched, unmatched = [], [], [], []
+    for index, count in enumerate(counts):
+        if count == 1:
+            continue
+        d = 2 * index + 1
+        if count > 1:
+            multiply_matched.append(d)
+            counterexamples.append(Counterexample(
+                d, "membership in exactly one progression",
+                f"{count} progressions"))
+            continue
+        unmatched.append(d)
+        m = valuation_by_division(3 * d + 1)[0]
+        if m <= max_m:
+            counterexamples.append(Counterexample(
+                d, f"membership in the class row for m={m}",
+                "no progression matched"))
+        else:
+            deferred.append(Deferred(d, f"valuation {m} exceeds max_m {max_m}"))
+    return build_report(
+        "cover-audit",
+        {"bound": bound, "max_m": max_m},
+        counterexamples=counterexamples,
+        deferred=deferred,
+        items_checked=len(counts),
+        details={
+            "matched_once": len(counts) - len(multiply_matched) - len(unmatched),
+            "multiply_matched": multiply_matched,
+            "unmatched": unmatched,
+        },
     )

@@ -6,12 +6,13 @@ from contextlib import contextmanager
 from time import perf_counter
 
 from collatz_cover import (ProfileTable, build_schema,
-                           build_sigma_schema, cover_audit, digit_root_class,
-                           render_str, report_to_json, residue_class,
-                           sigma_infinity, verify_conjecture1, verify_range,
-                           verify_theorem1_symbolic)
+                           build_sigma_schema, cover_audit, derive_profile,
+                           digit_root_class, render_str, report_to_json,
+                           residue_class, sigma_infinity, verify_conjecture1,
+                           verify_range, verify_theorem1_symbolic)
 from collatz_cover.cli import main
-from oracles import unit_step_sigma_memo, valuation_by_division
+from oracles import (reference_cover_audit, unit_step_sigma_memo,
+                     valuation_by_division)
 
 BOUND_LARGE = 10**6
 BOUND_MEDIUM = 10**5
@@ -100,6 +101,9 @@ def test_criterion_05_cover_audit():
     with criterion(5, "exactly-once cover of odd d <= 1e6"):
         start = perf_counter()
         report = cover_audit(BOUND_LARGE, 18)
+        # the row proofs' report is the stride sieve's, byte for byte
+        assert report_to_json(report) == report_to_json(
+            reference_cover_audit(BOUND_LARGE, 18, profile=derive_profile))
         assert report.details["multiply_matched"] == []
         assert report.counterexamples == ()
         unmatched = report.details["unmatched"]

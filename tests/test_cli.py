@@ -382,8 +382,8 @@ def test_stdout_write_failure_exits_1_without_traceback(capsys, monkeypatch,
 
 
 def test_oversized_range_exits_1_without_traceback(capsys):
-    # 5e29 table entries do not fit an index: the allocation raises
-    # OverflowError before it reserves anything
+    # 5e29 table entries do not fit an index: the table is refused with an
+    # OverflowError before anything is reserved
     code = main(["verify", "range", "--end", str(10**30)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
@@ -407,6 +407,48 @@ def test_oversized_table_names_its_flag(capsys, check, flag, value):
     assert captured.err.startswith(f"error: {flag} {value} is too large")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, flag, what", [
+    (("range", "--end", "10001"), "--end", "the table needs 5001 entries of 4 bytes"),
+    # 3d + 1 = 0 (mod 16) holds 6250 of the odd d <= 100001
+    (("cover", "--bound", "100001", "--max-m", "3"), "--bound",
+     "the list of unmatched d needs 6250 entries"),
+], ids=["table", "unmatched-list"])
+def test_what_passes_the_memory_limit_names_its_flag(capsys, monkeypatch, argv,
+                                                     flag, what):
+    # the probe reads a soft RLIMIT_AS of 1000 bytes; no limit is set
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda _: (1000, resource.RLIM_INFINITY))
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: {flag} {argv[2]} is too large: {what}")
+    assert captured.err.endswith("more than the soft RLIMIT_AS (1000 bytes)\n")
+    # at max_m 18 no odd d <= 100001 is unmatched, so nothing is refused
+    assert main(["verify", "cover", "--bound", "100001"]) == 0
+
+
+def test_table_past_the_address_space_limit_is_refused():
+    # the child's soft RLIMIT_AS is 512 MiB, and the table of --end 1e9
+    # takes 2e9 bytes: it is refused before it is asked for, and asking
+    # would fail under the limit, not take the memory
+    resource = pytest.importorskip("resource")
+    limit = 512 << 20
+
+    def lower_the_limit():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "collatz_cover.cli", "verify", "range", "--end",
+         str(10**9)], env=_env_with_src(), preexec_fn=lower_the_limit,
+        capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "error: --end 1000000000 is too large: the table needs 500000000 entries "
+        f"of 4 bytes, 2000000000 in all, more than the soft RLIMIT_AS ({limit} bytes)\n")
 
 
 def test_memory_error_exits_1_without_traceback(capsys, monkeypatch):

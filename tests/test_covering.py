@@ -1,13 +1,18 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collatz_cover.verify as verify_module
 from collatz_cover import (ProfileTable, RESIDUE_ORDER, build_report,
                            build_schema, classify, cover_audit,
                            cyclic_recurrence_check, derive_profile,
-                           digit_root_class, digital_root, residue_class, trace)
-from collatz_cover.verify import membership_counts
-from oracles import valuation_by_division
+                           digit_root_class, digital_root, report_to_json,
+                           residue_class, trace)
+from oracles import (membership_counts, reference_cover_audit,
+                     valuation_by_division)
 
 odd_ints = st.integers(min_value=0, max_value=10**24).map(lambda k: 2 * k + 1)
 
@@ -192,6 +197,96 @@ def test_membership_counts_do_not_wrap():
     members = range(13, 1002, 144)
     assert [counts[d // 2] for d in members] == [300] * len(members)
     assert sum(counts) == 300 * len(members)
+
+
+#: How a wrong row moves the (offset, modulus) of its true row.
+COVER_MOVES = {
+    "+modulus": lambda offset, modulus: (offset + modulus, modulus),
+    "-modulus": lambda offset, modulus: (offset - modulus, modulus),
+    "+modulus/2": lambda offset, modulus: (offset + modulus // 2, modulus),
+    "modulus/2": lambda offset, modulus: (offset, modulus // 2),
+    "+18": lambda offset, modulus: (offset + 18, modulus),
+    "-18": lambda offset, modulus: (offset - 18, modulus),
+    "+36": lambda offset, modulus: (offset + 36, modulus),
+}
+
+
+def rows_moving(moves):
+    """derive_profile, with each row (i, m) of ``moves`` {(i, m): how}
+    moved off its true offset or modulus."""
+    moved = {}
+    for (i, m), how in moves.items():
+        true = derive_profile(i, m)
+        offset, modulus = COVER_MOVES[how](true.d_offset, true.d_modulus)
+        moved[i, m] = SimpleNamespace(d_offset=offset, d_modulus=modulus)
+    return lambda i, m: moved.get((i, m)) or derive_profile(i, m)
+
+
+def cover_differs(module, bound, max_m, moves=None):
+    """Does ``module.cover_audit`` report otherwise than the sieve, on the
+    same rows, with the rows of ``moves`` moved?"""
+    rows = rows_moving(moves or {})
+    profile, module.derive_profile = module.derive_profile, rows
+    try:
+        got = report_to_json(module.cover_audit(bound, max_m))
+    finally:
+        module.derive_profile = profile
+    return got != report_to_json(reference_cover_audit(bound, max_m, profile=rows))
+
+
+@pytest.mark.parametrize("bound, max_m", [
+    (3, 1), (3, 2), (5, 1), (10, 1), (2001, 18), (10**4, 18), (350000, 18),
+    (10**6, 18), (10**6, 3), (10**6, 40), (999999, 7), (2 * 10**6 + 1, 12)])
+def test_cover_audit_matches_the_sieve(bound, max_m):
+    assert not cover_differs(verify_module, bound, max_m)
+
+
+@pytest.mark.parametrize("i, m, how", [(2, 3, "+modulus"), (2, 3, "+18"),
+                                       (5, 1, "+36")])
+def test_cover_audit_matches_the_sieve_on_a_moved_row(monkeypatch, i, m, how):
+    assert not cover_differs(verify_module, 20001, 18, {(i, m): how})
+    monkeypatch.setattr(verify_module, "derive_profile", rows_moving({(i, m): how}))
+    assert cover_audit(20001, 18).outcome == "fail"
+
+
+def test_cover_audit_matches_the_sieve_on_random_shapes():
+    rng = random.Random(26)
+    for _ in range(150):
+        bound, max_m = rng.randrange(3, 20001), rng.randrange(1, 21)
+        moves = {(rng.randrange(1, 10), rng.randrange(1, max_m + 1)):
+                 rng.choice(list(COVER_MOVES)) for _ in range(rng.choice([0, 0, 1, 2]))}
+        assert not cover_differs(verify_module, bound, max_m, moves), (
+            bound, max_m, moves)
+
+
+def test_cover_audit_counts_the_odd_members_of_a_row_with_an_even_offset(
+        monkeypatch):
+    # offset + 1 holds no odd d, outside the sieve's reach: every true member
+    # of the row is unmatched, by brute force over the rows' own members
+    true = derive_profile(4, 3)
+    row = SimpleNamespace(d_offset=true.d_offset + 1, d_modulus=true.d_modulus)
+    rows = [row if (i, m) == (4, 3) else derive_profile(i, m)
+            for i in range(1, 10) for m in range(1, 7)]
+    monkeypatch.setattr(verify_module, "derive_profile",
+                        lambda i, m: rows[(i - 1) * 6 + m - 1])
+    report = cover_audit(2001, 6)
+    counts = {d: sum(d >= p.d_offset and (d - p.d_offset) % p.d_modulus == 0
+                     for p in rows) for d in range(1, 2002, 2)}
+    assert report.details["unmatched"] == [d for d, c in counts.items() if c == 0]
+    assert report.details["multiply_matched"] == []
+    assert [c.input for c in report.counterexamples] == list(
+        range(true.d_offset, 2002, true.d_modulus))
+
+
+def test_cover_audit_far_past_any_table():
+    # the unmatched class 3d + 1 = 0 (mod 2^61) starts at (2^62 - 1)/3, above
+    # 1e18 and 4 times below 1e19
+    report = cover_audit(10**18, 60)
+    assert report.outcome == "pass"
+    assert report.details["matched_once"] == (10**18 + 1) // 2
+    unmatched = cover_audit(10**19, 60).details["unmatched"]
+    assert unmatched == list(range((2**62 - 1) // 3, 10**19, 2**61))
+    assert all(valuation_by_division(3 * d + 1)[0] > 60 for d in unmatched)
 
 
 def test_cyclic_recurrence_examples():

@@ -12,9 +12,11 @@ every member's stored stopping time with the per-d reference sweep in
 unit-step walk's, and one runs the fill's lane test on a target slice that
 holds 2^31 + 3. The rows outside the sweep compare ``sigma_infinity`` with
 the unit-step walk, ``digit_root_class`` with ``residue_class`` and
-``derive_profile`` with the checked-in reference rows, run the cover audit,
-run the theorem1 proof on a row moved out of its range, and fail an
-``--output`` write part-way.
+``derive_profile`` with the checked-in reference rows, compare the cover
+audit with the stride sieve of ``oracles.py`` (``test_covering.cover_differs``,
+with a moved row where the mutant needs one), run the theorem1 proof on a
+row moved out of its range, make a table past a patched memory limit, and
+fail an ``--output`` write part-way.
 """
 
 import json
@@ -30,6 +32,7 @@ from collatz_cover import derive_profile, residue_class
 from oracles import unit_step_sigma, unit_step_sigma_memo
 from range_differential import make_trial, run_trial
 from test_cli import failing_fdopen
+from test_covering import cover_differs
 
 SOURCE_DIR = Path(collatz_cover.__file__).parent
 DATA_DIR = Path(__file__).parent / "data"
@@ -128,10 +131,20 @@ def theorem1_misses_a_shifted_row(module):
         ("(i=2, m=3)", "odd landing residue below 54", str(shifted.next_offset)))
 
 
-def cover_audit_fails(module):
-    """Catches a ``verify`` mutant under which the exactly-once cover of
-    the odd d <= 2001 by the rows m <= 18 no longer passes."""
-    return module.cover_audit(2001, 18).outcome != "pass"
+def makes_a_table_past_the_limit(module):
+    """Catches a ``verify`` mutant that makes the 501 entries of 4 bytes of
+    the table over [1, 1001] where the probe reads a soft RLIMIT_AS of 1000
+    bytes."""
+    resource = pytest.importorskip("resource")
+    getrlimit = resource.getrlimit
+    resource.getrlimit = lambda _: (1000, resource.RLIM_INFINITY)
+    try:
+        module._stores(1, 1001)
+    except OverflowError:
+        return False
+    finally:
+        resource.getrlimit = getrlimit
+    return True
 
 
 def failed_output_changes_the_directory(module):
@@ -182,13 +195,18 @@ ROWS = [
     ("covering", "residue = root if root & 1 else root + 9",
      "residue = root + 9 if root & 1 else root",
      digit_root_class_differs, "digit root takes the even lift"),
-    ("verify", "p.d_modulus // 2", "p.d_modulus // 2 + 1",
-     cover_audit_fails, "cover counts by a wrong stride"),
+    # a d with v(3d+1) = max_m is deferred, and its valuation fails it
+    ("verify", "step = 2 << max_m", "step = 1 << max_m",
+     lambda module: cover_differs(module, 20001, 12),
+     "cover defers the class mod 2^max_m"),
+    ("verify", "        moved.subtract(_true_members(i, m, 1, bound))\n", "",
+     lambda module: cover_differs(module, 20001, 18, {(2, 3): "+modulus"}),
+     "cover keeps the members a failing row misses"),
+    ("verify", "if entries * width > limit:", "if entries > limit:",
+     makes_a_table_past_the_limit, "memory guard counts entries, not bytes"),
     ("covering", "d_offset = t + two * k\n",
      "d_offset = t + two * k + 18 * ((i, m) == (2, 3))\n",
      profiles_differ, "profile shifts one row's offset"),
-    # some rows still pass the asserts: an odd x < 9*2^m with
-    # 2^m | 3x + 1 and a valuation of exactly m
     ("covering", "two = 1 << (m + 1)", "two = 1 << m",
      profiles_differ, "profile solves its CRT mod 2^m"),
     ("cli", "        os.unlink(temp)\n", "",
@@ -215,6 +233,17 @@ CAUGHT_BY_SIGMA_RELATION = (
 )
 
 
+#: The rows that ``cover_audit``'s own report catches: at bound 20001 and
+#: max_m 12 it defers under the true rows, and fails under each of these.
+#: The two row-proof rows are not here: a weakened proof still holds on the
+#: true rows, and the report depends only on which rows hold.
+CAUGHT_BY_COVER = (
+    "profile shifts one row's offset",
+    "profile solves its CRT mod 2^m",
+    "cover defers the class mod 2^max_m",
+)
+
+
 def _module(name, source):
     module = ModuleType(f"collatz_cover.{name}")
     module.__package__ = "collatz_cover"
@@ -238,3 +267,22 @@ def test_sigma_relation_catches_the_mutant(what):
     assert _module(name, source).verify_sigma_relation(20001).outcome == "pass"
     mutant = _module(name, source.replace(fragment, replacement))
     assert mutant.verify_sigma_relation(20001).outcome == "fail"
+
+
+def _cover_audit(name, source):
+    """cover_audit of a fresh ``verify``, on the rows of the ``covering``
+    that ``source`` is, when ``name`` is that module."""
+    if name == "verify":
+        return _module(name, source).cover_audit
+    verify = _module("verify", (SOURCE_DIR / "verify.py").read_text(encoding="utf-8"))
+    verify.derive_profile = _module(name, source).derive_profile
+    return verify.cover_audit
+
+
+@pytest.mark.parametrize("what", CAUGHT_BY_COVER)
+def test_cover_catches_the_mutant(what):
+    ((name, fragment, replacement, _, _),) = [row for row in ROWS if row[-1] == what]
+    source = (SOURCE_DIR / f"{name}.py").read_text(encoding="utf-8")
+    assert _cover_audit(name, source)(20001, 12).outcome == "deferred"
+    mutant = _cover_audit(name, source.replace(fragment, replacement))
+    assert mutant(20001, 12).outcome == "fail"
