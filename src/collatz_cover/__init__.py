@@ -11,9 +11,8 @@ importing one submodule, as the CLI does, compiles only what it imports.
 __version__ = "0.1.0"
 
 _SOURCES = {
-    "arith": ("BudgetExceededError", "CollatzTrace", "DEFAULT_BUDGET",
-              "OddStep", "four_d_plus_one", "odd_step", "sigma_infinity",
-              "trace", "two_adic_valuation"),
+    "arith": ("BudgetExceededError", "DEFAULT_BUDGET", "sigma_infinity",
+              "two_adic_valuation"),
     "covering": ("Profile", "ProfileTable", "RESIDUE_ORDER", "classify",
                  "cyclic_recurrence_check", "derive_profile",
                  "digit_root_class", "digital_root", "residue_class"),

@@ -13,8 +13,6 @@ with sigma(1) = 0 (counting unit steps: each 3n+1 or n/2 costs one).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 #: Unit-step ceiling per input; a hypothetical divergent orbit surfaces as an
 #: error instead of a hang.
 DEFAULT_BUDGET = 10**7
@@ -43,47 +41,6 @@ def two_adic_valuation(x: int) -> tuple[int, int]:
     return m, x >> m
 
 
-def _require_odd(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"need a positive odd integer, got {d}")
-    if not d & 1:
-        raise ValueError(f"need an odd integer, got {d}")
-
-
-class OddStep(NamedTuple):
-    """One compressed step: 3*source + 1 == target * 2^m with target odd."""
-
-    source: int
-    m: int
-    target: int
-
-
-def odd_step(d: int) -> OddStep:
-    """Compressed Collatz step for odd d >= 1 (d = 1 yields m = 2, target 1)."""
-    _require_odd(d)
-    m, target = two_adic_valuation(3 * d + 1)
-    return OddStep(d, m, target)
-
-
-def four_d_plus_one(d: int) -> int:
-    """The class-advancing successor 4d+1 of an odd d (always odd).
-
-    Since 3(4d+1)+1 = 4(3d+1), both numbers share the same odd-step target
-    and sigma(4d+1) = sigma(d) + 2.
-    """
-    _require_odd(d)
-    return 4 * d + 1
-
-
-class CollatzTrace(NamedTuple):
-    """Odd-to-odd trajectory down to 1: consecutive steps chain source to
-    target, and sigma is the sum of (m + 1) over the steps."""
-
-    start: int
-    steps: tuple[OddStep, ...]
-    sigma: int
-
-
 def sigma_infinity(d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Total stopping time of d >= 1: unit Collatz steps until first hitting 1.
 
@@ -107,21 +64,3 @@ def sigma_infinity(d: int, budget: int = DEFAULT_BUDGET) -> int:
     if steps > budget:
         raise BudgetExceededError(d, budget)
     return steps
-
-
-def trace(d: int, budget: int = DEFAULT_BUDGET) -> CollatzTrace:
-    """Full odd-to-odd trajectory of odd d; trace.sigma equals sigma_infinity(d)."""
-    _require_odd(d)
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
-    steps: list[OddStep] = []
-    sigma = 0
-    cur = d
-    while cur != 1:
-        step = odd_step(cur)
-        steps.append(step)
-        sigma += step.m + 1
-        if sigma > budget:
-            raise BudgetExceededError(d, budget)
-        cur = step.target
-    return CollatzTrace(d, tuple(steps), sigma)

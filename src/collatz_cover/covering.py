@@ -17,13 +17,20 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import _require_odd, two_adic_valuation
+from .arith import two_adic_valuation
 
 #: The reordering of the odd residues mod 18 that makes d -> 4d+1 advance the
 #: class index by one (wrapping 9 -> 1).
 RESIDUE_ORDER = (1, 5, 3, 13, 17, 15, 7, 11, 9)
 
 _CLASS_OF = {r: i for i, r in enumerate(RESIDUE_ORDER, start=1)}
+
+
+def _require_odd(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"need a positive odd integer, got {d}")
+    if not d & 1:
+        raise ValueError(f"need an odd integer, got {d}")
 
 
 def residue_class(d: int) -> int:
@@ -50,9 +57,6 @@ class Profile(NamedTuple):
     even_modulus: int
     next_offset: int
     next_modulus: int = 54
-
-    def member(self, n: int) -> int:
-        return self.d_modulus * n + self.d_offset
 
     def row_dict(self) -> dict:
         return {
@@ -128,11 +132,6 @@ class ProfileTable(NamedTuple):
         rows = tuple(derive_profile(i, m)
                      for i in range(1, 10) for m in range(1, max_m + 1))
         return cls(max_m, rows)
-
-    def row(self, i: int, m: int) -> Profile:
-        if not (1 <= i <= 9 and 1 <= m <= self.max_m):
-            raise KeyError((i, m))
-        return self.rows[(i - 1) * self.max_m + (m - 1)]
 
     def column(self, i: int) -> tuple[Profile, ...]:
         return self.rows[(i - 1) * self.max_m: i * self.max_m]

@@ -54,10 +54,10 @@ def test_criterion_02_table_regeneration(reference_tables):
             row = rows[(p.class_index, p.m)]
             assert (p.v_offset, p.d_offset, p.d_modulus) == \
                 (row["v_offset"], row["d_offset"], row["d_coeff"])
-        assert (table.row(1, 3).d_modulus, table.row(1, 3).d_offset) == (144, 109)
-        assert (table.row(4, 8).d_modulus, table.row(4, 8).d_offset) == (4608, 85)
-        assert (table.row(9, 18).d_modulus, table.row(9, 18).d_offset) == \
-            (4718592, 87381)
+        for i, m, modulus, offset in ((1, 3, 144, 109), (4, 8, 4608, 85),
+                                      (9, 18, 4718592, 87381)):
+            p = table.column(i)[m - 1]
+            assert (p.d_modulus, p.d_offset) == (modulus, offset)
         assert perf_counter() - start < 1.0
 
 

@@ -1,9 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from collatz_cover import (BudgetExceededError, four_d_plus_one, odd_step,
-                           sigma_infinity, trace, two_adic_valuation)
+from collatz_cover import BudgetExceededError, sigma_infinity, two_adic_valuation
 from oracles import unit_step_sigma, valuation_by_division
 
 odd_ints = st.integers(min_value=0, max_value=10**30).map(lambda k: 2 * k + 1)
@@ -28,26 +27,6 @@ def test_valuation_reconstructs(k):
     assert m >= 1 and odd & 1
     assert odd << m == x
     assert (m, odd) == valuation_by_division(x)
-
-
-def test_odd_step_examples():
-    assert odd_step(13) == (13, 3, 5)
-    assert odd_step(1) == (1, 2, 1)
-    assert odd_step(85) == (85, 8, 1)
-
-
-@pytest.mark.parametrize("bad", [0, -3, 2, 40])
-def test_odd_step_rejects(bad):
-    with pytest.raises(ValueError):
-        odd_step(bad)
-
-
-@given(odd_ints)
-def test_odd_step_reconstruction(d):
-    step = odd_step(d)
-    assert step.source == d
-    assert step.m >= 1 and step.target & 1
-    assert step.target << step.m == 3 * d + 1
 
 
 def test_sigma_examples():
@@ -75,17 +54,14 @@ def test_sigma_matches_unit_step_oracle():
 
 def test_sigma_recurrence_sampled():
     for d in range(3, 2002, 2):
-        step = odd_step(d)
-        assert sigma_infinity(d) == sigma_infinity(step.target) + step.m + 1
+        m, target = two_adic_valuation(3 * d + 1)
+        assert sigma_infinity(d) == sigma_infinity(target) + m + 1
 
 
 def test_budget_boundary():
     assert sigma_infinity(27, budget=111) == 111
-    with pytest.raises(BudgetExceededError):
-        sigma_infinity(27, budget=110)
     with pytest.raises(BudgetExceededError, match="budget exceeded"):
-        trace(27, budget=110)
-    assert trace(27, budget=111).sigma == 111
+        sigma_infinity(27, budget=110)
 
 
 def test_budget_counts_the_halvings_of_even_inputs():
@@ -96,48 +72,11 @@ def test_budget_counts_the_halvings_of_even_inputs():
         sigma_infinity(2 * 27, budget=111)
 
 
-def test_trace_examples():
-    t = trace(13)
-    assert [(s.source, s.m, s.target) for s in t.steps] == [(13, 3, 5), (5, 4, 1)]
-    assert t.sigma == 9
-    t1 = trace(1)
-    assert t1.steps == () and t1.sigma == 0
-    assert trace(19).sigma == 20
-
-
-def test_trace_rejects_even():
-    with pytest.raises(ValueError):
-        trace(40)
-
-
-@given(odd_ints)
-@settings(max_examples=30, deadline=None)
-def test_trace_chains_and_sums(d):
-    t = trace(d)
-    assert t.start == d
-    cur = d
-    for step in t.steps:
-        assert step.source == cur
-        cur = step.target
-    assert cur == 1
-    assert t.sigma == sum(step.m + 1 for step in t.steps)
-    assert t.sigma == sigma_infinity(d)
-
-
-def test_four_d_plus_one_examples():
-    assert four_d_plus_one(19) == 77
-    assert four_d_plus_one(1) == 5
-    assert four_d_plus_one(9) == 37
-    with pytest.raises(ValueError):
-        four_d_plus_one(8)
-
-
 @given(odd_ints)
 def test_four_d_plus_one_shares_target(d):
-    base = odd_step(d)
-    lifted = odd_step(4 * d + 1)
-    assert lifted.target == base.target
-    assert lifted.m == base.m + 2
+    # 3(4d+1)+1 = 4(3d+1): two more halvings to the same target
+    m, target = two_adic_valuation(3 * d + 1)
+    assert two_adic_valuation(12 * d + 4) == (m + 2, target)
 
 
 def test_four_d_plus_one_sigma_shift():

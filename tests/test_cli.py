@@ -10,6 +10,7 @@ import pytest
 
 import collatz_cover
 import collatz_cover.cli as cli
+from collatz_cover import Counterexample, VerifyReport
 from collatz_cover.cli import main
 
 
@@ -459,6 +460,24 @@ def test_memory_error_exits_1_without_traceback(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("outcome, counterexamples", [
+    ("pass", (Counterexample(5, 1, 2),)),
+    ("fail", ()),
+])
+def test_a_report_whose_outcome_contradicts_its_counterexamples_exits_1(
+        capsys, monkeypatch, outcome, counterexamples):
+    # exit codes follow outcomes, so a report made without build_report,
+    # whose outcome its counterexamples contradict, is refused unprinted
+    def inconsistent(max_m):
+        return VerifyReport("theorem1-symbolic", {"max_m": max_m}, outcome,
+                            counterexamples, (), 1, 0.0, {})
+    monkeypatch.setattr(cli, "verify_theorem1_symbolic", inconsistent)
+    code, out, err = run(capsys, "verify", "theorem1")
+    assert (code, out) == (1, "")
+    assert err == (f"error: report outcome {outcome} does not match "
+                   f"{len(counterexamples)} counterexamples\n")
 
 
 def test_output_file_is_utf8_and_unencodable_stdout_is_an_error(tmp_path):

@@ -10,7 +10,7 @@ from collatz_cover import (ProfileTable, RESIDUE_ORDER, build_report,
                            build_schema, classify, cover_audit,
                            cyclic_recurrence_check, derive_profile,
                            digit_root_class, digital_root, report_to_json,
-                           residue_class, trace)
+                           residue_class)
 from oracles import (membership_counts, reference_cover_audit,
                      valuation_by_division)
 
@@ -28,8 +28,9 @@ def test_residue_class_examples():
     assert residue_class(349525) == 1
     assert residue_class(21845) == 8
     assert residue_class(9) == 9
-    with pytest.raises(ValueError):
-        residue_class(6)
+    for bad in (6, 0, -3, 2, 40):  # even or not positive
+        with pytest.raises(ValueError):
+            residue_class(bad)
 
 
 def test_derive_profile_examples():
@@ -90,7 +91,7 @@ def test_profiles_match_reference(reference_tables):
         assert p.d_offset == row["d_offset"]
         assert p.d_modulus == row["d_coeff"]
         assert row["v_coeff"] == 2**m
-        assert [p.member(n) for n in range(4)] == row["members"]
+        assert [p.d_modulus * n + p.d_offset for n in range(4)] == row["members"]
 
 
 def test_landing_offsets_injective_for_fixed_m():
@@ -116,7 +117,7 @@ def test_crt_soundness_against_division_oracle():
         for m in range(1, 25):
             p = derive_profile(i, m)
             for n in range(4):
-                d = p.member(n)
+                d = p.d_modulus * n + p.d_offset
                 assert valuation_by_division(3 * d + 1) == (m, 54 * n + p.next_offset)
 
 
@@ -334,7 +335,7 @@ def test_digit_root_class_past_the_int_str_digit_limit():
 
 
 def test_record_types_are_immutable_and_compare_by_value():
-    records = ((derive_profile(4, 3), "d_offset"), (trace(13), "sigma"),
+    records = ((derive_profile(4, 3), "d_offset"),
                (build_report("check", {}), "outcome"),
                (ProfileTable.build(2), "max_m"), (build_schema(2), "rows"))
     for record, field in records:
@@ -361,9 +362,7 @@ def test_profile_table_shape_and_lookup():
     table = ProfileTable.build(3)
     assert table.max_m == 3
     assert len(table.rows) == 27
-    assert table.row(1, 3).d_offset == 109
+    assert table.column(1)[3 - 1].d_offset == 109
     assert [p.m for p in table.column(2)] == [1, 2, 3]
-    with pytest.raises(KeyError):
-        table.row(1, 4)
     with pytest.raises(ValueError):
         ProfileTable.build(0)

@@ -8,11 +8,14 @@ any listing's bytes, however small, fails here; a deliberate output change
 has to replace the fixture it touches.
 """
 
+import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import collatz_cover
 from collatz_cover.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -51,6 +54,9 @@ CASES = {
     "verify-conjecture1-start": ["verify", "conjecture1", "--start", "1001",
                                  "--bound", "20001"],
     "verify-theorem1-m40": ["verify", "theorem1", "--max-m", "40"],
+    # rows hold to m = 10; the ten d with a larger valuation are deferred
+    "verify-cover-m10": ["verify", "cover", "--bound", "20001", "--max-m", "10"],
+    "verify-cyclic": ["verify", "cyclic", "--samples", "3", "--seed", "7"],
 }
 
 FORMATS = ("text", "csv", "json")
@@ -72,3 +78,41 @@ def test_every_fixture_has_a_case():
     keys = {f"{name}.{fmt}" for name in CASES for fmt in FORMATS}
     assert set(EXIT_CODES) == keys
     assert {p.name for p in GOLDEN_DIR.iterdir()} == keys | {"exit_codes.json"}
+
+
+def _public_code() -> dict:
+    """The code object of every public function and of every public method
+    of a public class, by the name it is exported as."""
+    code = {}
+    for name in collatz_cover.__all__:
+        value = getattr(collatz_cover, name)
+        if isinstance(value, type):
+            for attr, member in vars(value).items():
+                func = getattr(member, "__func__", member)  # class/staticmethod
+                if not attr.startswith("_") and inspect.isfunction(func):
+                    code[func.__code__] = f"{name}.{attr}"
+        elif callable(value):
+            if hasattr(value, "cache_clear"):  # a memo hit calls nothing
+                value.cache_clear()
+            code[inspect.unwrap(value).__code__] = name
+    return code
+
+
+def test_every_public_name_runs_under_some_case():
+    # the library exports only what a command runs: a public function or
+    # method that no golden case calls belongs to no command
+    code = _public_code()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for argv in CASES.values():
+            for fmt in FORMATS:
+                main([*argv, "--format", fmt])
+    finally:
+        sys.setprofile(None)
+    assert sorted(label for c, label in code.items() if c not in called) == []
