@@ -324,7 +324,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_theorem1_symbolic(args.max_m)
     elif check == "conjecture1":
         bound = _require_flag(args.bound, "--bound", check)
-        report = verify_conjecture1(bound, start=args.start)
+        report = _sized_by("--bound", bound, verify_conjecture1, bound,
+                           start=args.start)
     elif check == "sigma-relation":
         bound = _require_flag(args.bound, "--bound", check)
         report = _sized_by("--bound", bound, verify_sigma_relation, bound,
@@ -336,8 +337,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_cyclic(samples_per_class=args.samples, seed=args.seed)
     else:
         end = _require_flag(args.end, "--end", check)
-        if args.class_index is not None and not 1 <= args.class_index <= 9:
-            raise UsageError(f"class index must be in 1..9, got {args.class_index}")
         report = _sized_by("--end", end, verify_range, args.start, end,
                            class_filter=args.class_index, budget=args.budget)
     try:

@@ -5,23 +5,25 @@ coefficient identities in n, not by sampling. The exactly-once cover, the
 boundedness audit and the range sweep prove each progression row they need
 once (``_row_faults``): a proved row is exactly the odd d of its class and
 valuation, at d = 18*2^m*n + offset with 54n < (3d+1)/2^m < 54(n+1), so
-only the members of a row that fails are checked one by one. The range
-sweep, which the recurrence audit runs through, keeps the stopping times it
-finds in a dense table of 4 bytes per odd value of its range, and those of
-values below its start in a dict of its own. One recursion
-(``_sweep_paths``) splits the odd d by their residue mod 2^(e+1), which
-fixes the first odd value below d (Terras 1976; Lagarias 1985), and gives
-the walk's jumps too. As d steps along a path, that value steps by a fixed
-stride, so most members take their stopping times from slices of the
+only the members of a row that fails are checked one by one, in the one
+pass (``_member_faults``) that the boundedness audit and the range sweep
+share. The range sweep, which the recurrence audit runs through, keeps the
+stopping times it finds in a dense table of 4 bytes per odd value of its
+range, and those of values below its start in a dict of its own. One
+recursion (``_sweep_paths``) splits the odd d by their residue mod 2^(e+1),
+which fixes the first odd value below d (Terras 1976; Lagarias 1985), and
+gives the walk's jumps too. As d steps along a path, that value steps by a
+fixed stride, so most members take their stopping times from slices of the
 table, each slice checked and filled as the 32-bit lanes of one int, and
 reading only its targets; every other member takes one walk from itself,
 which jumps along the same first descents. A sweep of one class mod 18
 fills nothing: the first descents of its members lie mostly in other
 classes, which it stores only where walks land, so every member walks.
-The sweep trusts its stores: any entry set before it began must be a true
-stopping time, and the stores ``_stores`` makes are empty. Neither a fill
-nor a walk reads the entry of 1, and the report depends only on the range,
-the class and the budget.
+Every member, whatever its row, is filled or walked, and ends with its
+stopping time stored unless it is deferred. The sweep trusts its stores:
+any entry set before it began must be a true stopping time, and the stores
+``_stores`` makes are empty. Neither a fill nor a walk reads the entry of
+1, and the report depends only on the range, the class and the budget.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ _LANE_MAX = (1 << 31) - 1
 #: members per block: on the full sweep to 1e6, 2^10 and 2^14 each took
 #: about 8% more time in-process than 2^12.
 _PATH_BITS = 12
+
+#: Bytes per d a report lists: a JSON report peaked at 1062 per unmatched d,
+#: and 1265 per counterexample of a failing row (CPython 3.11, x86-64).
+_LISTED_BYTES = 1300
 
 
 def _sweep_paths(class_filter: int | None):
@@ -247,6 +253,28 @@ def _true_members(i: int, m: int, lo: int, end: int):
             yield d
 
 
+def _member_faults(classes, lo: int, end: int) -> list:
+    """The counterexamples of the odd d in [lo, end] of ``classes`` whose rows
+    fail their proofs: d fails reconstruction unless d = modulus*n + offset
+    with n >= 0, and else must land strictly inside (54n, 54(n+1))."""
+    counterexamples, sized = [], 0
+    for i, m, offset, modulus in _failing_rows((3 * end + 1).bit_length(), classes):
+        sized += (end - lo) // (18 << m) + 1
+        _require_memory("the member list of the failing rows", sized, _LISTED_BYTES)
+        for d in _true_members(i, m, lo, end):
+            n, rem = divmod(d - offset, modulus)
+            target = (3 * d + 1) >> m
+            if rem or n < 0:
+                counterexamples.append(Counterexample(
+                    d, f"exact reconstruction {modulus}n + {offset}",
+                    f"remainder {rem}"))
+            elif not 54 * n < target < 54 * (n + 1):
+                counterexamples.append(Counterexample(
+                    d, f"next odd strictly inside (54*{n}, 54*{n + 1})",
+                    str(target)))
+    return counterexamples
+
+
 def _class_counts(classes, lo: int, end: int) -> dict[str, int]:
     """The per_class detail: how many odd d in [lo, end] each class holds,
     0 for a class not in ``classes``."""
@@ -301,14 +329,17 @@ def cover_audit(bound: int, max_m: int) -> VerifyReport:
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
     moved = Counter()  # how far failing rows move each d's count off 1 or 0
+    sized = 0
     for i, m, offset, modulus in _failing_rows(max_m):
-        moved.update(d for d in range(max(offset, offset % modulus), bound + 1,
-                                      modulus) if d & 1)
+        claims = range(max(offset, offset % modulus), bound + 1, modulus)
+        sized += len(claims) + bound // (18 << m) + 1
+        _require_memory("the member list of the failing rows", sized, _LISTED_BYTES)
+        moved.update(d for d in claims if d & 1)
         moved.subtract(_true_members(i, m, 1, bound))
     step = 2 << max_m
     deep = range(-pow(3, -1, step) % step, bound + 1, step)
-    # a JSON report peaked at 1062 bytes per unmatched d (CPython 3.11, x86-64)
-    _require_memory("the list of unmatched d", (bound - deep.start) // step + 1, 1100)
+    _require_memory("the list of unmatched d", (bound - deep.start) // step + 1,
+                    _LISTED_BYTES)
     counterexamples, deferred, multiply_matched, unmatched = [], [], [], []
     for d in sorted(moved.keys() | set(deep)) if moved else deep:
         x = 3 * d + 1
@@ -350,7 +381,8 @@ def verify_conjecture1(bound: int, start: int = 1) -> VerifyReport:
 
     Each row (i, m) that can hold such a d is proved once (``_row_faults``),
     which covers all its members at once; the members of a row that fails
-    are checked one by one, so the cost grows with the number of rows, not
+    are checked one by one, as the range sweep checks them
+    (``_member_faults``), so the cost grows with the number of rows, not
     with the bound."""
     t0 = perf_counter()
     if not 1 <= start <= bound:
@@ -358,15 +390,7 @@ def verify_conjecture1(bound: int, start: int = 1) -> VerifyReport:
     first = start if start & 1 else start + 1
     if first > bound:
         raise ValueError(f"no odd integers in [{start}, {bound}]")
-    counterexamples = []
-    for i, m, offset, modulus in _failing_rows((3 * bound + 1).bit_length()):
-        for d in _true_members(i, m, first, bound):
-            n = (d - offset) // modulus
-            target = (3 * d + 1) >> m
-            if not 54 * n < target < 54 * (n + 1):
-                counterexamples.append(Counterexample(
-                    d, f"next odd strictly inside (54*{n}, 54*{n + 1})",
-                    str(target)))
+    counterexamples = _member_faults(range(1, 10), first, bound)
     counterexamples.sort(key=itemgetter(0))
     return build_report(
         "conjecture1-bounded",
@@ -453,8 +477,9 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
 
     Reconstruction and boundedness follow, for every member at once, from
     the proof of its row (``_row_faults``), made once per row. Only the true
-    members of a row that fails are checked one by one; a member that fails
-    reconstruction skips its recurrence step.
+    members of a row that fails are checked one by one, as
+    ``verify_conjecture1`` checks them (``_member_faults``). The rows decide
+    nothing else: every member, whatever its row, is filled or walked.
 
     The recurrence pass keeps the stopping times in a dense table over
     [start, end], 4 bytes per odd integer, and those of the values below
@@ -464,42 +489,33 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     value gives. On such stores, cold or holding true entries anywhere, its
     report and its members' stored entries are those of a sweep that
     handles each d in turn and walks by single odd steps. The sweep walks
-    ascending blocks [L, U) with 3U <= 4L. The members of one path of
-    ``_sweep_paths``, d = r (mod 2^(e+1)), reach their first odd value
-    below d, the target (3^c*d + b)/2^e, in c odd steps and e halvings, and
-    the targets step by a fixed stride as d steps along the path. The
-    members of a path in a block whose targets lie in [max(start, 3), L),
-    where the sweep has passed, take sigma(target) + c + e from one slice
-    of the table, when every target is known and within budget (``_fill``):
-    each member, and each odd value on the way, holds 0 or what the walk
-    through the target gives it, so the fill reads the target slice only.
-    A class sweep has no paths: its members' targets lie mostly in other
-    classes, which it stores only where walks land. Every other member,
-    and every member of a class sweep, walks from d itself until 1 or a
-    known entry of either store, then stores the values it landed on that
-    either store admits. From each value x the walk jumps by x mod 2^12
-    (``_sweep_paths``): to the first odd value below x, or for a scalar
-    residue along the odd steps that the residue fixes; from the one
-    residue that fixes no step it takes one odd step. Where a walk of odd
-    steps would stop at an entry that a jump or a fill passes, the jump or
-    the fill reaches the same sum. Steps only grow, so a walk that crosses
-    the budget inside a jump is deferred as the odd steps would defer it.
+    ascending blocks [L, U) with 3U <= 4L. The members of a path of
+    ``_sweep_paths`` in a block whose targets, their first odd values
+    below them, lie in [max(start, 3), L), where the sweep has passed, take
+    sigma(target) + c + e from one slice of the table, when every target is
+    known and within budget (``_fill``), which reads the target slice only.
+    A class sweep has no paths. Every other member walks from d itself
+    until 1 or a known entry of either store, then stores the values it
+    landed on that either store admits. From each value x the walk jumps by
+    x mod 2^12 (``_sweep_paths``); from the one residue that fixes no step
+    it takes one odd step. Where a walk of odd steps would stop at an entry
+    that a jump or a fill passes, the jump or the fill reaches the same
+    sum. Steps only grow, so a walk that crosses the budget inside a jump
+    is deferred as the odd steps would defer it.
 
     sigma(d) is its table entry, or what its walk gives when it has none;
     a counterexample names it as sigma(target) + m + 1, for
     target = (3d+1)/2^m. The recurrence comparison therefore only bites on
     entries stored before d is handled: it checks that one table is
     consistent, and is not an independent audit of the stopping times.
-    Every entry the sweep stores is what the walk from its value gives, and
-    neither a fill nor a walk reads the entry of 1, so the report does not
-    depend on the order in which members are handled, nor on which values
-    a fill or a jump passes without storing them; counterexamples and
-    deferrals are listed by d. Each member ends with its stopping time in
-    the table, unless it is deferred or fails reconstruction, and so does
-    each value a walk lands on in the range. A value only passed is left
-    as it was: under a class filter a non-member, and a member that failed
-    reconstruction, can hold 0 where a walk of single odd steps would have
-    stored its stopping time. A wrong entry set before the sweep is
+    As each entry it stores is what a walk gives, and neither a fill nor a
+    walk reads the entry of 1, the report does not depend on the order in
+    which members are handled, nor on which values a fill or a jump passes
+    without storing them; counterexamples and deferrals are listed by d.
+    Each member ends with its stopping time in the table unless it is
+    deferred, whatever the rows say, and so does each value a walk lands on
+    in the range; a value only passed, such as a non-member under a class
+    filter, is left as it was. A wrong entry set before the sweep is
     reported only where its own member walks, and no fill or walk meets it
     first.
 
@@ -523,21 +539,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
             raise ValueError(
                 f"no odd integers of class {class_filter} in [{start}, {end}]")
         classes = (class_filter,)
-    counterexamples: list[Counterexample] = []
-    skip = set()  # members that failed reconstruction
-    for i, m, offset, modulus in _failing_rows((3 * end + 1).bit_length(), classes):
-        for d in _true_members(i, m, lo, end):
-            n, rem = divmod(d - offset, modulus)
-            if rem or n < 0:
-                counterexamples.append(Counterexample(
-                    d, f"exact reconstruction {modulus}n + {offset}",
-                    f"remainder {rem}"))
-                skip.add(d)
-            elif not 54 * n < (3 * d + 1) >> m < 54 * (n + 1):
-                counterexamples.append(Counterexample(
-                    d, f"next odd strictly inside (54*{n}, 54*{n + 1})",
-                    str((3 * d + 1) >> m)))
-
+    counterexamples = _member_faults(classes, lo, end)
     paths, scalar_classes, jumps = _sweep_paths(class_filter)
     jump_mask = len(jumps) - 1
     cap = min(budget, _LANE_MAX)
@@ -569,10 +571,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
                 members = members[j + n:]
             if members:
                 scalar.append(members)
-        todo = chain.from_iterable(scalar)
-        if skip:
-            todo = [d for d in todo if d not in skip]
-        for d in todo:
+        for d in chain.from_iterable(scalar):
             index = (d - first) >> 1
             sigma_d = table[index]
             # a walk from d until 1 or a known entry of either store; steps

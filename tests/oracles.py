@@ -94,10 +94,11 @@ def reference_range_sweep(start: int, end: int, class_filter=None,
                           budget: int = 10**7, *, profile, stores):
     """The range sweep as one loop over every odd d, with its reconstruction,
     boundedness and recurrence checks made for each d, for differential tests
-    of ``verify_range``. ``profile(i, m)`` gives a row's ``d_offset`` and
-    ``d_modulus``, and ``stores(first, end)`` its empty (or pre-filled)
-    table and below-start dict, so both sweeps can run on the same rows and
-    the same stores. Returns the same ``VerifyReport``, with no timing."""
+    of ``verify_range``. Every d but 1 walks, whatever its row.
+    ``profile(i, m)`` gives a row's ``d_offset`` and ``d_modulus``, and
+    ``stores(first, end)`` its empty (or pre-filled) table and below-start
+    dict, so both sweeps can run on the same rows and the same stores.
+    Returns the same ``VerifyReport``, with no timing."""
     from collatz_cover.arith import BudgetExceededError
     from collatz_cover.covering import RESIDUE_ORDER
     from collatz_cover.reports import Counterexample, Deferred, build_report
@@ -127,8 +128,7 @@ def reference_range_sweep(start: int, end: int, class_filter=None,
             counterexamples.append(Counterexample(
                 d, f"exact reconstruction {modulus}n + {offset}",
                 f"remainder {rem}"))
-            continue
-        if not 54 * n < target < 54 * (n + 1):
+        elif not 54 * n < target < 54 * (n + 1):
             counterexamples.append(Counterexample(
                 d, f"next odd strictly inside (54*{n}, 54*{n + 1})", str(target)))
         if d == 1:

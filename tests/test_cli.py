@@ -12,6 +12,7 @@ import collatz_cover
 import collatz_cover.cli as cli
 from collatz_cover import Counterexample, VerifyReport
 from collatz_cover.cli import main
+from range_differential import rows_of
 
 
 def run(capsys, *argv):
@@ -431,6 +432,31 @@ def test_what_passes_the_memory_limit_names_its_flag(capsys, monkeypatch, argv,
     assert main(["verify", "cover", "--bound", "100001"]) == 0
 
 
+@pytest.mark.parametrize("check, entries", [("cover", 1388), ("conjecture1", 695)],
+                         ids=["cover", "conjecture1"])
+def test_failing_rows_past_the_memory_limit_name_their_flag(capsys, monkeypatch,
+                                                           check, entries):
+    # the true rows pass under a soft RLIMIT_AS of 1000 bytes, since no member
+    # is counted one by one. With row (2, 3) moved, its 695 true members to
+    # 100001, and for the cover its 693 claims too, are refused before they
+    # are counted
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda _: (1000, resource.RLIM_INFINITY))
+    argv = ["verify", check, "--bound", "100001"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(collatz_cover.verify, "derive_profile",
+                        rows_of((2, 3, "+modulus")))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(
+        "error: --bound 100001 is too large: the member list of the failing "
+        f"rows needs {entries} entries of 1300 bytes")
+    assert captured.err.endswith("more than the soft RLIMIT_AS (1000 bytes)\n")
+
+
 def test_table_past_the_address_space_limit_is_refused():
     # the child's soft RLIMIT_AS is 512 MiB, and the table of --end 1e9
     # takes 2e9 bytes: it is refused before it is asked for, and asking
@@ -746,6 +772,7 @@ def test_help_exits_zero(capsys):
     ("verify", "range", "--start", "2", "--end", "2"),
     ("verify", "range", "--start", "3", "--end", "7", "--class", "9"),
     ("verify", "range", "--end", "9", "--threads", "0"),
+    ("verify", "range", "--end", "99", "--class", "10"),
 ])
 def test_usage_errors(capsys, argv):
     code, out, _ = run(capsys, *argv)

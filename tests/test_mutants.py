@@ -6,17 +6,17 @@ catching call. The test asserts that the fragment occurs exactly once,
 compiles the patched source into a fresh module, and runs the call on it:
 the call must catch the mutant, and must not catch the unpatched module,
 so that no row passes on a check that cannot fail. The range sweep's rows
-run a cold trial of ``range_differential.py``, which compares the report and
-every member's stored stopping time with the per-d reference sweep in
-``oracles.py``, or compare the stopping times the sweep stored with the
-unit-step walk's, and one runs the fill's lane test on a target slice that
-holds 2^31 + 3. The rows outside the sweep compare ``sigma_infinity`` with
-the unit-step walk, ``digit_root_class`` with ``residue_class`` and
-``derive_profile`` with the checked-in reference rows, compare the cover
-audit with the stride sieve of ``oracles.py`` (``test_covering.cover_differs``,
-with a moved row where the mutant needs one), run the theorem1 proof on a
-row moved out of its range, make a table past a patched memory limit, and
-fail an ``--output`` write part-way.
+run a cold trial of ``range_differential.py``, one of them with a moved row,
+which compares the report and every member's stored stopping time with the
+per-d reference sweep in ``oracles.py``, or compare the stopping times the
+sweep stored with the unit-step walk's, and one runs the fill's lane test on
+a target slice that holds 2^31 + 3. The rows outside the sweep compare
+``sigma_infinity`` with the unit-step walk, ``digit_root_class`` with
+``residue_class`` and ``derive_profile`` with the checked-in reference rows,
+compare the cover audit with the stride sieve of ``oracles.py``
+(``test_covering.cover_differs``, with a moved row where the mutant needs
+one), run the theorem1 proof on a row moved out of its range, make a table
+past a patched memory limit, and fail an ``--output`` write part-way.
 """
 
 import json
@@ -38,11 +38,12 @@ SOURCE_DIR = Path(collatz_cover.__file__).parent
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def report_differs(start, end, budget=10**7, class_filter=None):
+def report_differs(start, end, budget=10**7, class_filter=None, row=None):
     """Catches a mutant whose sweep over [start, end], of one class or of
-    all, on cold stores, reports or stores a member's stopping time
-    otherwise than the per-d reference."""
-    trial = make_trial(start, end - start, class_filter, budget, "cold", None, 0)
+    all, on cold stores and with ``row`` moved as a trial moves it, reports
+    or stores a member's stopping time otherwise than the per-d
+    reference."""
+    trial = make_trial(start, end - start, class_filter, budget, "cold", row, 0)
     return lambda module: run_trial(trial, module) is not None
 
 
@@ -186,6 +187,10 @@ ROWS = [
      "RESIDUE_ORDER[class_filter % 9], 18)]",
      report_differs(2001, 12001, budget=60, class_filter=5),
      "class sweep walks the next class"),
+    # the n = 0 member of row (1, 1), moved one modulus up, then reads index
+    # -1 and fails boundedness, where the reference fails its reconstruction
+    ("verify", "if rem or n < 0:", "if rem:",
+     report_differs(1, 2001, row=(1, 1, "+modulus")), "member pass drops n < 0"),
     # neither sweep reads the entry of 1, so only the stored entries differ
     ("verify", "known_min = max(first, 3)", "known_min = first",
      stored_sigma_differs(1, 11, poison={1: 50}), "fill reads the entry of 1"),

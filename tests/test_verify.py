@@ -356,57 +356,25 @@ def _shift_a_row(monkeypatch, i, m):
     return true, range(true.d_offset, 2002, true.d_modulus)
 
 
-def _shifted_row_counterexamples(i, m, true, members, first_check):
-    """The counterexamples a sweep over [1, 2001] owes a shifted row (i, m):
-    ``first_check`` for its n = 0 member, the boundedness check one index
-    low for every other member."""
-    expected = [(true.d_offset, *first_check)]
-    expected += [(d, f"next odd strictly inside (54*{n - 1}, 54*{n})",
-                  str((3 * d + 1) >> m))
-                 for n, d in enumerate(members) if n]
-    return tuple(expected)
-
-
-def test_range_flags_a_row_with_a_shifted_offset(monkeypatch):
+@pytest.mark.parametrize("m", [1, 3], ids=["m1", "m3"])
+@pytest.mark.parametrize("check", [verify_range, verify_conjecture1],
+                         ids=["range", "conjecture1"])
+def test_a_shifted_row_is_flagged_by_range_and_conjecture1(monkeypatch, check, m):
     # a row whose offset is one modulus too high puts its n = 0 member below
     # the progression and reads every other member one index low, so the
-    # reconstruction and boundedness checks must both fire on that row alone
-    i, m = 1, 1
-    true, members = _shift_a_row(monkeypatch, i, m)  # 36n + 19
-    report = verify_range(1, 2001)
+    # reconstruction and boundedness checks must both fire on that row
+    # alone, in the one pass both checks make. The m = 3 row's members lie
+    # in the progression 16k + 13, whose stopping times the sweep fills
+    # from table slices
+    true, members = _shift_a_row(monkeypatch, 1, m)  # 36n + 19, 144n + 109
+    report = check(1, 2001) if check is verify_range else check(2001)
     assert report.outcome == "fail"
-    assert report.counterexamples == _shifted_row_counterexamples(
-        i, m, true, members,
-        (f"exact reconstruction {true.d_modulus}n + "
-         f"{true.d_offset + true.d_modulus}", "remainder 0"))
-    assert report.items_checked == 1001
-
-
-def test_range_flags_a_shifted_row_whose_members_fill_by_slices(monkeypatch):
-    # the m = 3 twin: the row's members lie in the progression 16k + 13,
-    # whose stopping times the sweep fills from table slices
-    i, m = 1, 3
-    true, members = _shift_a_row(monkeypatch, i, m)  # 144n + 109
-    report = verify_range(1, 2001)
-    assert report.outcome == "fail"
-    assert report.counterexamples == _shifted_row_counterexamples(
-        i, m, true, members,
-        (f"exact reconstruction {true.d_modulus}n + "
-         f"{true.d_offset + true.d_modulus}", "remainder 0"))
-    assert report.items_checked == 1001
-
-
-def test_conjecture1_flags_a_row_with_a_shifted_offset(monkeypatch):
-    # the row fails its proof, so its true members are checked one by one,
-    # each one index low; the n = 0 member reads index -1
-    i, m = 1, 1
-    true, members = _shift_a_row(monkeypatch, i, m)
-    report = verify_conjecture1(2001)
-    assert report.outcome == "fail"
-    assert report.counterexamples == _shifted_row_counterexamples(
-        i, m, true, members,
-        ("next odd strictly inside (54*-1, 54*0)",
-         str((3 * true.d_offset + 1) >> m)))
+    assert report.counterexamples == (
+        (true.d_offset,
+         f"exact reconstruction {true.d_modulus}n + {true.d_offset + true.d_modulus}",
+         "remainder 0"),
+        *((d, f"next odd strictly inside (54*{n - 1}, 54*{n})", str((3 * d + 1) >> m))
+          for n, d in enumerate(members) if n))
     assert report.items_checked == 1001
 
 
@@ -530,6 +498,21 @@ def test_range_reports_as_the_per_d_sweep_with_a_wrong_row(m, how):
     trial = make_trial(start, 4000, class_filter, [60, 111, 10**7][m % 3], kind,
                        (i, m, how), 0)
     assert run_trial(trial) is None
+
+
+@pytest.mark.parametrize("how", ROW_MOVES)
+def test_every_member_holds_its_stopping_time_whatever_its_row(monkeypatch, how):
+    # a moved row fails reconstruction or boundedness for its members, but
+    # each of them is still filled or walked, and ends with its stopping time
+    memo = {}
+    want = [unit_step_sigma_memo(d, memo) for d in range(3, 2002, 2)]
+    runs = _watch_stores(monkeypatch)
+    for i in range(1, 10):
+        for m in range(1, 5):
+            monkeypatch.setattr(verify_module, "derive_profile", rows_of((i, m, how)))
+            assert verify_range(1, 2001).outcome == "fail"
+            _, table, _ = runs.pop()
+            assert list(table[1:]) == want, (i, m)
 
 
 @pytest.mark.parametrize("kind", STORE_KINDS)
@@ -733,12 +716,11 @@ def test_lane_fill_matches_the_per_entry_fill(data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_lane_fill_above_the_floor_reads_only_targets(data):
-    # named for the stores' floor, now retired: every fill reads only its
-    # targets. A block as the sweep leaves it, with each value on the way
-    # and each member's own entry then set to any 32-bit value, fills as
-    # the block did, and as the per-entry fill does, and no entry but the
-    # members' is written
+def test_lane_fill_reads_only_targets(data):
+    # a block as the sweep leaves it, with each value on the way and each
+    # member's own entry then set to any 32-bit value, fills as the block
+    # did, and as the per-entry fill does, and no entry but the members' is
+    # written
     table, d, n, descent, cap, loose = _draw_swept_block(data)
     swept = array("I", table)
     for k in loose:
