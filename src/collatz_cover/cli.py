@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from time import perf_counter
 
 from . import _MODULE_OF, _SOURCES
 from .arith import BudgetExceededError, DEFAULT_BUDGET, sigma_infinity
@@ -320,6 +321,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("verify reports support text or json output")
     _load("verify")
     check = args.check
+    start = perf_counter()
     if check == "theorem1":
         report = verify_theorem1_symbolic(args.max_m)
     elif check == "conjecture1":
@@ -339,6 +341,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         end = _require_flag(args.end, "--end", check)
         report = _sized_by("--end", end, verify_range, args.start, end,
                            class_filter=args.class_index, budget=args.budget)
+    elapsed_s = perf_counter() - start
     try:
         report = _validated(report)
     except ValueError as exc:
@@ -350,7 +353,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = report_to_text(report)
     code = _emit(text, args.output)
     print(f"# {report.check_name}: {report.outcome} "
-          f"({report.items_checked} items, {report.elapsed_s:.3f}s)",
+          f"({report.items_checked} items, {elapsed_s:.3f}s)",
           file=sys.stderr)
     if code != EXIT_PASS:
         return code

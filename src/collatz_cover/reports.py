@@ -8,10 +8,10 @@ skipped for a stated reason (valuation deeper than the table, budget
 exhaustion) land in ``deferred`` and, absent failures, make the outcome
 "deferred" rather than "fail".
 
-Rendered reports carry no timing, so identical runs produce identical
-bytes. ``json`` and ``csv`` are imported by the functions that use them:
-most commands render neither, and start-up is most of the cost of a short
-command.
+Reports carry no timing, so identical runs produce equal reports and
+identical bytes. ``json`` and ``csv`` are imported by the functions that
+use them: most commands render neither, and start-up is most of the cost
+of a short command.
 """
 
 from __future__ import annotations
@@ -46,13 +46,12 @@ class VerifyReport(NamedTuple):
     counterexamples: tuple[Counterexample, ...]
     deferred: tuple[Deferred, ...]
     items_checked: int
-    elapsed_s: float
     details: dict[str, Any]
 
 
 def build_report(check_name: str, parameters: dict[str, Any], *,
                  counterexamples=(), deferred=(), items_checked: int = 0,
-                 elapsed_s: float = 0.0, details=None) -> VerifyReport:
+                 details=None) -> VerifyReport:
     """Assemble a report; the outcome is derived, never passed in."""
     counterexamples = tuple(counterexamples)
     deferred = tuple(deferred)
@@ -63,7 +62,7 @@ def build_report(check_name: str, parameters: dict[str, Any], *,
     else:
         outcome = OUTCOME_PASS
     return VerifyReport(check_name, dict(parameters), outcome, counterexamples,
-                        deferred, items_checked, elapsed_s, dict(details or {}))
+                        deferred, items_checked, dict(details or {}))
 
 
 def json_text(obj: Any) -> str:

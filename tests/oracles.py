@@ -98,7 +98,7 @@ def reference_range_sweep(start: int, end: int, class_filter=None,
     ``profile(i, m)`` gives a row's ``d_offset`` and ``d_modulus``, and
     ``stores(first, end)`` its empty (or pre-filled) table and below-start
     dict, so both sweeps can run on the same rows and the same stores.
-    Returns the same ``VerifyReport``, with no timing."""
+    Returns the same ``VerifyReport``."""
     from collatz_cover.arith import BudgetExceededError
     from collatz_cover.covering import RESIDUE_ORDER
     from collatz_cover.reports import Counterexample, Deferred, build_report
@@ -199,7 +199,7 @@ def membership_counts(bound: int, profiles) -> array:
 def reference_cover_audit(bound: int, max_m: int, *, profile):
     """The cover audit as a count of the progressions ``profile(i, m)``,
     m <= max_m, that hold each odd d <= bound, for differential tests of
-    ``cover_audit``. Returns the same ``VerifyReport``, with no timing."""
+    ``cover_audit``. Returns the same ``VerifyReport``."""
     from collatz_cover.reports import Counterexample, Deferred, build_report
 
     profiles = [profile(i, m) for i in range(1, 10) for m in range(1, max_m + 1)]

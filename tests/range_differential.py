@@ -51,6 +51,17 @@ from collatz_cover.covering import RESIDUE_ORDER  # noqa: E402
 from oracles import (fill_true_entries, reference_range_sweep,  # noqa: E402
                      unit_step_sigma_memo)
 
+#: How a moved row's (offset, modulus) lies off its true row's.
+MOVES = {
+    "+modulus": lambda offset, modulus: (offset + modulus, modulus),
+    "-modulus": lambda offset, modulus: (offset - modulus, modulus),
+    "+modulus/2": lambda offset, modulus: (offset + modulus // 2, modulus),
+    "modulus/2": lambda offset, modulus: (offset, modulus // 2),
+    "+18": lambda offset, modulus: (offset + 18, modulus),
+    "-18": lambda offset, modulus: (offset - 18, modulus),
+    "+36": lambda offset, modulus: (offset + 36, modulus),
+}
+#: The moves a trial draws from.
 ROW_MOVES = ("+modulus", "-modulus", "+modulus/2", "modulus/2")
 STORE_KINDS = ("cold", "warm")
 
@@ -131,20 +142,18 @@ def random_trial(rng: random.Random, max_width: int = 20000) -> Trial:
                       row, rng.randrange(2**32))
 
 
-def rows_of(row):
-    """derive_profile, with the trial's row (i, m) moved: its offset by
-    +-modulus or +modulus/2, or its modulus halved."""
-    if row is None:
-        return derive_profile
-    i, m, how = row
-    true = derive_profile(i, m)
-    offset, modulus = true.d_offset, true.d_modulus
-    offset, modulus = {"+modulus": (offset + modulus, modulus),
-                       "-modulus": (offset - modulus, modulus),
-                       "+modulus/2": (offset + modulus // 2, modulus),
-                       "modulus/2": (offset, modulus // 2)}[how]
-    moved = SimpleNamespace(class_index=i, m=m, d_offset=offset, d_modulus=modulus)
-    return lambda ci, cm: moved if (ci, cm) == (i, m) else derive_profile(ci, cm)
+def rows_moving(moves):
+    """derive_profile, with each row (i, m) of ``moves`` {(i, m): how} moved
+    off its true offset or modulus as ``MOVES[how]`` says. Its next_offset
+    is (3*offset + 1) >> m: 54 more than the true row's one modulus up."""
+    moved = {}
+    for (i, m), how in moves.items():
+        true = derive_profile(i, m)
+        offset, modulus = MOVES[how](true.d_offset, true.d_modulus)
+        moved[i, m] = SimpleNamespace(class_index=i, m=m, d_offset=offset,
+                                      d_modulus=modulus,
+                                      next_offset=(3 * offset + 1) >> m)
+    return lambda i, m: moved.get((i, m)) or derive_profile(i, m)
 
 
 def stores_of(trial: Trial, make):
@@ -184,12 +193,13 @@ def run_trial(trial: Trial, module=verify) -> str | None:
     tables = []
     stores = recording(stores_of(trial, make), tables)
     args = (trial.start, trial.end, trial.class_filter, trial.budget)
-    module._stores, module.derive_profile = stores, rows_of(trial.row)
+    rows = rows_moving({trial.row[:2]: trial.row[2]} if trial.row else {})
+    module._stores, module.derive_profile = stores, rows
     try:
         got = report_to_json(module.verify_range(*args))
     finally:
         module._stores, module.derive_profile = make, profile
-    want = reference_range_sweep(*args, profile=rows_of(trial.row), stores=stores)
+    want = reference_range_sweep(*args, profile=rows, stores=stores)
     if got != report_to_json(want):
         return "report differs"
     members = trial.members()

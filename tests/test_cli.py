@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import collatz_cover
 import collatz_cover.cli as cli
 from collatz_cover import Counterexample, VerifyReport
 from collatz_cover.cli import main
-from range_differential import rows_of
+from range_differential import rows_moving
 
 
 def run(capsys, *argv):
@@ -160,9 +161,12 @@ def test_verify_cover_deferred_exit(capsys):
 
 
 def test_verify_cyclic(capsys):
-    code, out, _ = run(capsys, "verify", "cyclic")
+    code, out, err = run(capsys, "verify", "cyclic")
     assert code == 0
     assert "items_checked: 900" in out
+    # the one stderr line, with the time the CLI took the check
+    assert re.fullmatch(r"# cyclic-recurrence: pass \(900 items, \d+\.\d{3}s\)\n",
+                        err)
 
 
 def test_verify_range_json(capsys):
@@ -447,7 +451,7 @@ def test_failing_rows_past_the_memory_limit_name_their_flag(capsys, monkeypatch,
     assert main(argv) == 0
     capsys.readouterr()
     monkeypatch.setattr(collatz_cover.verify, "derive_profile",
-                        rows_of((2, 3, "+modulus")))
+                        rows_moving({(2, 3): "+modulus"}))
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
@@ -498,7 +502,7 @@ def test_a_report_whose_outcome_contradicts_its_counterexamples_exits_1(
     # whose outcome its counterexamples contradict, is refused unprinted
     def inconsistent(max_m):
         return VerifyReport("theorem1-symbolic", {"max_m": max_m}, outcome,
-                            counterexamples, (), 1, 0.0, {})
+                            counterexamples, (), 1, {})
     monkeypatch.setattr(cli, "verify_theorem1_symbolic", inconsistent)
     code, out, err = run(capsys, "verify", "theorem1")
     assert (code, out) == (1, "")
@@ -551,6 +555,7 @@ def test_stdout_reproducible(capsys):
     ("verify", "range", "--end", "20001", "--format", "json"),
     ("verify", "sigma-relation", "--bound", "20001"),
     ("sigma", "27", "13"),
+    ("verify", "cyclic", "--samples", "3"),
 ])
 def test_cache_and_threads_flags_are_inert(capsys, tmp_path, argv):
     path = tmp_path / "sigma.csig"
@@ -572,13 +577,6 @@ def test_verify_ignores_cache_for_checks_without_walks(capsys, tmp_path):
     assert code == 0
     assert "outcome: pass" in out
     assert path.read_bytes() == b"not a cache file"
-
-
-def test_verify_cyclic_writes_no_cache(capsys, tmp_path):
-    path = tmp_path / "sigma.csig"
-    code, _, _ = run(capsys, "verify", "cyclic", "--cache", str(path))
-    assert code == 0
-    assert not path.exists()
 
 
 def test_verify_saves_no_cache_after_output_failure(capsys, tmp_path):
@@ -616,15 +614,17 @@ def _env_with_src() -> dict:
     return env
 
 
-def _modules_after_import(names, *flags, module="collatz_cover.cli") -> str:
+def _modules_after_import(names, *flags, module="collatz_cover.cli",
+                          then="pass") -> str:
     """The subset of ``names`` in sys.modules after a fresh interpreter,
-    started with ``flags``, imports ``module``."""
+    started with ``flags``, imports ``module`` and runs the statement
+    ``then``."""
     env = _env_with_src()
-    probe = (f"import sys, {module}; "
+    probe = (f"import sys, {module}; {then}; "
              f"print(sorted(m for m in {names!r} if m in sys.modules))")
     result = subprocess.run([sys.executable, *flags, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    return result.stdout.strip()
+    return result.stdout.splitlines()[-1]
 
 
 def test_cli_import_pulls_in_no_numpy_or_thread_pool():
@@ -633,11 +633,17 @@ def test_cli_import_pulls_in_no_numpy_or_thread_pool():
 
 def test_cli_import_pulls_in_no_file_format_modules():
     # -S: a site hook may import tempfile on its own. Each short command pays
-    # for these at start-up: dataclasses pulls in inspect, and json, csv and
-    # random serve only some formats and verify cyclic
+    # for these at start-up: dataclasses pulls in inspect, json and csv serve
+    # only some formats, and no command samples with random
     names = ("tempfile", "struct", "dataclasses", "inspect", "json", "csv",
              "random")
     assert _modules_after_import(names, "-S") == "[]"
+
+
+def test_verify_cyclic_pulls_in_no_random():
+    # the cycle is proved on the nine residues mod 18, not sampled
+    run_cyclic = 'collatz_cover.cli.main(["verify", "cyclic"])'
+    assert _modules_after_import(("random",), "-S", then=run_cyclic) == "[]"
 
 
 def test_cli_import_loads_no_verifier_or_map_builder():

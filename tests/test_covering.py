@@ -13,6 +13,7 @@ from collatz_cover import (ProfileTable, RESIDUE_ORDER, build_report,
                            residue_class)
 from oracles import (membership_counts, reference_cover_audit,
                      valuation_by_division)
+from range_differential import MOVES, rows_moving
 
 odd_ints = st.integers(min_value=0, max_value=10**24).map(lambda k: 2 * k + 1)
 
@@ -200,29 +201,6 @@ def test_membership_counts_do_not_wrap():
     assert sum(counts) == 300 * len(members)
 
 
-#: How a wrong row moves the (offset, modulus) of its true row.
-COVER_MOVES = {
-    "+modulus": lambda offset, modulus: (offset + modulus, modulus),
-    "-modulus": lambda offset, modulus: (offset - modulus, modulus),
-    "+modulus/2": lambda offset, modulus: (offset + modulus // 2, modulus),
-    "modulus/2": lambda offset, modulus: (offset, modulus // 2),
-    "+18": lambda offset, modulus: (offset + 18, modulus),
-    "-18": lambda offset, modulus: (offset - 18, modulus),
-    "+36": lambda offset, modulus: (offset + 36, modulus),
-}
-
-
-def rows_moving(moves):
-    """derive_profile, with each row (i, m) of ``moves`` {(i, m): how}
-    moved off its true offset or modulus."""
-    moved = {}
-    for (i, m), how in moves.items():
-        true = derive_profile(i, m)
-        offset, modulus = COVER_MOVES[how](true.d_offset, true.d_modulus)
-        moved[i, m] = SimpleNamespace(d_offset=offset, d_modulus=modulus)
-    return lambda i, m: moved.get((i, m)) or derive_profile(i, m)
-
-
 def cover_differs(module, bound, max_m, moves=None):
     """Does ``module.cover_audit`` report otherwise than the sieve, on the
     same rows, with the rows of ``moves`` moved?"""
@@ -255,7 +233,7 @@ def test_cover_audit_matches_the_sieve_on_random_shapes():
     for _ in range(150):
         bound, max_m = rng.randrange(3, 20001), rng.randrange(1, 21)
         moves = {(rng.randrange(1, 10), rng.randrange(1, max_m + 1)):
-                 rng.choice(list(COVER_MOVES)) for _ in range(rng.choice([0, 0, 1, 2]))}
+                 rng.choice(list(MOVES)) for _ in range(rng.choice([0, 0, 1, 2]))}
         assert not cover_differs(verify_module, bound, max_m, moves), (
             bound, max_m, moves)
 

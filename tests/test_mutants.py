@@ -15,8 +15,10 @@ a target slice that holds 2^31 + 3. The rows outside the sweep compare
 ``residue_class`` and ``derive_profile`` with the checked-in reference rows,
 compare the cover audit with the stride sieve of ``oracles.py``
 (``test_covering.cover_differs``, with a moved row where the mutant needs
-one), run the theorem1 proof on a row moved out of its range, make a table
-past a patched memory limit, and fail an ``--output`` write part-way.
+one), run the theorem1 proof on a row moved out of its range, run the
+cyclic check itself on a fresh ``verify`` that calls the mutant's cycle
+check, make a table past a patched memory limit, and fail an ``--output``
+write part-way.
 """
 
 import json
@@ -30,7 +32,7 @@ import pytest
 import collatz_cover
 from collatz_cover import derive_profile, residue_class
 from oracles import unit_step_sigma, unit_step_sigma_memo
-from range_differential import make_trial, run_trial
+from range_differential import make_trial, rows_moving, run_trial
 from test_cli import failing_fdopen
 from test_covering import cover_differs
 
@@ -122,14 +124,19 @@ def theorem1_misses_a_shifted_row(module):
     fail the second alone: an offset in [0, 18*2^m) with 2^m | 3*offset + 1
     lands on an odd a <= 53."""
     true = derive_profile(2, 3)
-    shifted = SimpleNamespace(d_modulus=true.d_modulus,
-                              d_offset=true.d_offset + true.d_modulus,
-                              next_offset=true.next_offset + 54)
-    module.derive_profile = (
-        lambda i, m: shifted if (i, m) == (2, 3) else derive_profile(i, m))
+    module.derive_profile = rows_moving({(2, 3): "+modulus"})
     return module.verify_theorem1_symbolic(5).counterexamples != (
-        ("(i=2, m=3)", f"offset in [0, {true.d_modulus})", str(shifted.d_offset)),
-        ("(i=2, m=3)", "odd landing residue below 54", str(shifted.next_offset)))
+        ("(i=2, m=3)", f"offset in [0, {true.d_modulus})",
+         str(true.d_offset + true.d_modulus)),
+        ("(i=2, m=3)", "odd landing residue below 54", str(true.next_offset + 54)))
+
+
+def cyclic_fails(module):
+    """Catches a ``covering`` mutant under whose cyclic_recurrence_check the
+    cyclic check of a fresh ``verify``, ``verify_cyclic(1)``, does not
+    pass."""
+    check = _verify_with(cyclic_recurrence_check=module.cyclic_recurrence_check)
+    return check.verify_cyclic(1).outcome != "pass"
 
 
 def makes_a_table_past_the_limit(module):
@@ -214,6 +221,9 @@ ROWS = [
      profiles_differ, "profile shifts one row's offset"),
     ("covering", "two = 1 << (m + 1)", "two = 1 << m",
      profiles_differ, "profile solves its CRT mod 2^m"),
+    ("covering", "successor = RESIDUE_ORDER[i % 9]",
+     "successor = RESIDUE_ORDER[(i + 1) % 9]",
+     cyclic_fails, "cycle check takes the class after next"),
     ("cli", "        os.unlink(temp)\n", "",
      failed_output_changes_the_directory, "failed write leaves its temp file"),
     ("cli", "os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)",
@@ -274,14 +284,19 @@ def test_sigma_relation_catches_the_mutant(what):
     assert mutant.verify_sigma_relation(20001).outcome == "fail"
 
 
+def _verify_with(**names):
+    """A fresh ``verify`` module, with ``names`` bound in place of its own."""
+    verify = _module("verify", (SOURCE_DIR / "verify.py").read_text(encoding="utf-8"))
+    vars(verify).update(names)
+    return verify
+
+
 def _cover_audit(name, source):
     """cover_audit of a fresh ``verify``, on the rows of the ``covering``
     that ``source`` is, when ``name`` is that module."""
     if name == "verify":
         return _module(name, source).cover_audit
-    verify = _module("verify", (SOURCE_DIR / "verify.py").read_text(encoding="utf-8"))
-    verify.derive_profile = _module(name, source).derive_profile
-    return verify.cover_audit
+    return _verify_with(derive_profile=_module(name, source).derive_profile).cover_audit
 
 
 @pytest.mark.parametrize("what", CAUGHT_BY_COVER)

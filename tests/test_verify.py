@@ -2,21 +2,21 @@ import json
 import tracemalloc
 from array import array
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collatz_cover.verify as verify_module
-from collatz_cover import (derive_profile, report_to_json, residue_class,
-                           verify_conjecture1, verify_cyclic, verify_range,
-                           verify_sigma_relation, verify_theorem1_symbolic)
+from collatz_cover import (cover_audit, derive_profile, report_to_json,
+                           residue_class, verify_conjecture1, verify_cyclic,
+                           verify_range, verify_sigma_relation,
+                           verify_theorem1_symbolic)
 from collatz_cover.covering import RESIDUE_ORDER
 from oracles import (fill_true_entries, reference_range_sweep,
                      unit_step_odd_descent, unit_step_odds, unit_step_sigma_memo)
-from range_differential import (ROW_MOVES, STORE_KINDS, make_trial, rows_of,
-                                run_trial)
+from range_differential import (ROW_MOVES, STORE_KINDS, make_trial,
+                                rows_moving, run_trial)
 
 
 def _oracle_deferred(first, end, budget):
@@ -123,12 +123,8 @@ def test_theorem1_flags_a_row_with_a_shifted_offset(monkeypatch):
     # one modulus too high, the offset leaves [0, modulus) and lands on
     # a + 54, which only the range and landing-residue checks see
     true = derive_profile(2, 3)
-    shifted = SimpleNamespace(d_modulus=true.d_modulus,
-                              d_offset=true.d_offset + true.d_modulus,
-                              next_offset=true.next_offset + 54)
-    monkeypatch.setattr(
-        verify_module, "derive_profile",
-        lambda i, m: shifted if (i, m) == (2, 3) else derive_profile(i, m))
+    monkeypatch.setattr(verify_module, "derive_profile",
+                        rows_moving({(2, 3): "+modulus"}))
     report = verify_theorem1_symbolic(5)
     assert report.counterexamples == (
         ("(i=2, m=3)", f"offset in [0, {true.d_modulus})",
@@ -204,6 +200,26 @@ def test_cyclic_sampling():
 def test_cyclic_rejects_bad_samples():
     with pytest.raises(ValueError):
         verify_cyclic(samples_per_class=0)
+
+
+def test_cyclic_proves_every_member_whatever_the_samples():
+    # the nine least residues decide the cycle, so no sample is drawn
+    report = verify_cyclic(10**12, seed=7)
+    assert report.outcome == "pass"
+    assert report.items_checked == 9 * 10**12
+    assert report.details["classes_passing"] == "9/9"
+
+
+@pytest.mark.parametrize("check, args", [
+    (verify_theorem1_symbolic, (6,)),
+    (cover_audit, (2001, 6)),
+    (verify_conjecture1, (2001,)),
+    (verify_sigma_relation, (2001,)),
+    (verify_cyclic, (3, 7)),
+    (verify_range, (1, 2001)),
+], ids=["theorem1", "cover", "conjecture1", "sigma-relation", "cyclic", "range"])
+def test_a_check_returns_equal_reports_for_equal_arguments(check, args):
+    assert check(*args) == check(*args)
 
 
 def test_range_single_element():
@@ -351,7 +367,8 @@ def test_range_flags_a_cache_entry_the_table_contradicts(monkeypatch):
 def _shift_a_row(monkeypatch, i, m):
     """Replace row (i, m) with one whose offset is one modulus too high;
     returns the true row and the row's members up to 2001."""
-    monkeypatch.setattr(verify_module, "derive_profile", rows_of((i, m, "+modulus")))
+    monkeypatch.setattr(verify_module, "derive_profile",
+                        rows_moving({(i, m): "+modulus"}))
     true = derive_profile(i, m)
     return true, range(true.d_offset, 2002, true.d_modulus)
 
@@ -509,7 +526,8 @@ def test_every_member_holds_its_stopping_time_whatever_its_row(monkeypatch, how)
     runs = _watch_stores(monkeypatch)
     for i in range(1, 10):
         for m in range(1, 5):
-            monkeypatch.setattr(verify_module, "derive_profile", rows_of((i, m, how)))
+            monkeypatch.setattr(verify_module, "derive_profile",
+                                rows_moving({(i, m): how}))
             assert verify_range(1, 2001).outcome == "fail"
             _, table, _ = runs.pop()
             assert list(table[1:]) == want, (i, m)
