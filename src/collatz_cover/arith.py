@@ -18,11 +18,17 @@ from __future__ import annotations
 DEFAULT_BUDGET = 10**7
 
 
+def budget_reason(start: int, budget: int) -> str:
+    """The message of ``BudgetExceededError(start, budget)``, which a range
+    sweep's deferrals give without making the exception."""
+    return f"budget exceeded: {start} not resolved within {budget} unit steps"
+
+
 class BudgetExceededError(RuntimeError):
     """Trajectory needs more unit steps than the configured budget."""
 
     def __init__(self, start: int, budget: int):
-        super().__init__(f"budget exceeded: {start} not resolved within {budget} unit steps")
+        super().__init__(budget_reason(start, budget))
         self.start = start
         self.budget = budget
 

@@ -5,29 +5,35 @@ source. The 4d+1 cycle is checked on the nine residues mod 18, which decide
 it for every member of every class.
 
 The 162-row determinism claim is checked symbolically, as exact integer
-coefficient identities in n, not by sampling. The exactly-once cover, the
-boundedness audit and the range sweep prove each progression row they need
-once (``_row_faults``): a proved row is exactly the odd d of its class and
-valuation, at d = 18*2^m*n + offset with 54n < (3d+1)/2^m < 54(n+1), so
-only the members of a row that fails are checked one by one, in the one
-pass (``_member_faults``) that the boundedness audit and the range sweep
-share. The range sweep, which the recurrence audit runs through, keeps the
-stopping times it finds in a dense table of 4 bytes per odd value of its
-range, and those of values below its start in a dict of its own. One
-recursion (``_sweep_paths``) splits the odd d by their residue mod 2^(e+1),
-which fixes the first odd value below d (Terras 1976; Lagarias 1985), and
-gives the walk's jumps too. As d steps along a path, that value steps by a
-fixed stride, so most members take their stopping times from slices of the
-table, each slice checked and filled as the 32-bit lanes of one int, and
-reading only its targets; every other member takes one walk from itself,
-which jumps along the same first descents. A sweep of one class mod 18
-fills nothing: the first descents of its members lie mostly in other
-classes, which it stores only where walks land, so every member walks.
-Every member, whatever its row, is filled or walked, and ends with its
-stopping time stored unless it is deferred. The sweep trusts its stores:
-any entry set before it began must be a true stopping time, and the stores
-``_stores`` makes are empty. Neither a fill nor a walk reads the entry of
-1, and the report depends only on the range, the class and the budget.
+coefficient identities in n, not by sampling. Every check derives and
+proves the progression rows it needs in one place (``_failing_rows``, by
+``_row_faults``): a proved row is exactly the odd d of its class and
+valuation, at d = 18*2^m*n + offset with 54n < (3d+1)/2^m < 54(n+1),
+landing on 54n + next_offset. The symbolic check and the exactly-once cover
+prove every row up to max_m. The boundedness audit and the range sweep
+prove only the rows that their window [lo, end] can hold
+(``_window_rows``): every m <= k, for end - lo < 2^k, and the row of the at
+most one d there with v(3d+1) > k. So a window's cost grows with its width,
+not with its distance from 1. Only the members of a row that fails are
+checked one by one, in the one pass (``_member_faults``) that the
+boundedness audit and the range sweep share. The range sweep, which the
+recurrence audit runs through, keeps the stopping times it finds in a dense
+table of 4 bytes per odd value of its range, and those of values below its
+start in a dict of its own. One recursion (``_sweep_paths``) splits the odd
+d by their residue mod 2^(e+1), which fixes the first odd value below d
+(Terras 1976; Lagarias 1985), and gives the walk's jumps too. As d steps
+along a path, that value steps by a fixed stride, so most members take
+their stopping times from slices of the table, each slice checked and
+filled as the 32-bit lanes of one int, and reading only its targets; every
+other member takes one walk from itself, which jumps along the same first
+descents. A sweep of one class mod 18 fills nothing: the first descents of
+its members lie mostly in other classes, which it stores only where walks
+land, so every member walks. Every member, whatever its row, is filled or
+walked, and ends with its stopping time stored unless it is deferred. The
+sweep trusts its stores: any entry set before it began must be a true
+stopping time, and the stores ``_stores`` makes are empty. Neither a fill
+nor a walk reads the entry of 1, and the report depends only on the range,
+the class and the budget.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ from itertools import chain
 from operator import itemgetter
 from sys import byteorder, maxsize
 
-from .arith import BudgetExceededError, DEFAULT_BUDGET, sigma_infinity
+from .arith import (BudgetExceededError, DEFAULT_BUDGET, budget_reason,
+                    sigma_infinity, two_adic_valuation)
 from .covering import RESIDUE_ORDER, cyclic_recurrence_check, derive_profile
 from .reports import Counterexample, Deferred, VerifyReport, build_report
 
@@ -210,17 +217,19 @@ def _stores(first: int, end: int) -> tuple[array, dict[int, int]]:
     return array("I", [0]) * n, {}
 
 
-def _row_faults(i: int, m: int, offset: int, modulus: int) -> list:
-    """The (expected, actual) pairs by which row (i, m), the progression
-    modulus*n + offset, fails to prove Theorem 1's identity
+def _row_faults(i: int, m: int, p) -> list:
+    """The (expected, actual) pairs by which row (i, m), the ``Profile`` p,
+    fails to prove Theorem 1's identity
 
         3*(18*2^m * n + offset) + 1 == 2^m * (54n + a),   a odd, a < 54,
 
-    with offset in [0, 18*2^m) and offset = S[i] (mod 18); none when it holds.
-    A proved row is exactly the odd d of class i with v(3d+1) = m (one
-    residue class mod 18*2^m, by the CRT, whose least member is offset),
-    each at n >= 0 and landing on 54n + a, strictly inside (54n, 54(n+1))."""
+    with offset in [0, 18*2^m) and offset = S[i] (mod 18), and to give that
+    a as its next_offset; none when it holds. A proved row is exactly the odd
+    d of class i with v(3d+1) = m (one residue class mod 18*2^m, by the CRT,
+    whose least member is offset), each at n >= 0 and landing on 54n + a,
+    strictly inside (54n, 54(n+1))."""
     r = RESIDUE_ORDER[i - 1]
+    offset, modulus = p.d_offset, p.d_modulus
     faults = []
     if modulus != 18 << m:
         faults.append((f"n-coefficient {54 << m}", str(3 * modulus)))
@@ -233,35 +242,58 @@ def _row_faults(i: int, m: int, offset: int, modulus: int) -> list:
         faults.append((f"constant term divisible by {1 << m}", f"remainder {rem}"))
     elif not (a & 1 and a < 54):
         faults.append(("odd landing residue below 54", str(a)))
+    if p.next_offset != a:
+        faults.append((f"landing offset {a}", str(p.next_offset)))
     return faults
 
 
-def _failing_rows(max_m: int, classes=range(1, 10)):
-    """(i, m, offset, modulus) of each failing row of ``classes``, m <= max_m:
-    to (3*end+1).bit_length(), every row that can hold an odd d <= end."""
-    for i in classes:
-        for m in range(1, max_m + 1):
-            p = derive_profile(i, m)
-            if _row_faults(i, m, p.d_offset, p.d_modulus):
-                yield i, m, p.d_offset, p.d_modulus
+def _rows(classes, k: int) -> list:
+    """The rows (i, m) of ``classes`` with m <= k, by class, then m."""
+    return [(i, m) for i in classes for m in range(1, k + 1)]
+
+
+def _deep_class(k: int, lo: int, end: int) -> range:
+    """The odd d in [lo, end] with v(3d+1) > k: the one residue class
+    3d + 1 = 0 (mod 2^(k+1))."""
+    step = 2 << k
+    return range(lo + (-pow(3, -1, step) - lo) % step, end + 1, step)
+
+
+def _window_rows(classes, lo: int, end: int) -> list:
+    """The rows of ``classes`` that can hold an odd d in [lo, end]: every
+    m <= k, for end - lo < 2^k, and the row of the at most one d there with
+    v(3d+1) > k, as that class steps by 2^(k+1)."""
+    k = (end - lo).bit_length()
+    return _rows(classes, k) + [
+        (i, two_adic_valuation(3 * d + 1)[0]) for d in _deep_class(k, lo, end)
+        for i in classes if RESIDUE_ORDER[i - 1] == d % 18]
+
+
+def _failing_rows(rows):
+    """(i, m, offset, modulus, faults) of each row (i, m) of ``rows`` that
+    fails its proof (``_row_faults``): the one place where rows are derived
+    and proved."""
+    for i, m in rows:
+        p = derive_profile(i, m)
+        if faults := _row_faults(i, m, p):
+            yield i, m, p.d_offset, p.d_modulus, faults
 
 
 def _true_members(i: int, m: int, lo: int, end: int):
     """The odd d in [lo, end] of class i with v(3d+1) = m, ascending, found
     without the row's offset: a failing row's own members are what it
     gets wrong."""
-    for d in range(lo + (RESIDUE_ORDER[i - 1] - lo) % 18, end + 1, 18):
-        x = 3 * d + 1
-        if (x & -x).bit_length() - 1 == m:
-            yield d
+    return (d for d in range(lo + (RESIDUE_ORDER[i - 1] - lo) % 18, end + 1, 18)
+            if two_adic_valuation(3 * d + 1)[0] == m)
 
 
 def _member_faults(classes, lo: int, end: int) -> list:
     """The counterexamples of the odd d in [lo, end] of ``classes`` whose rows
     fail their proofs: d fails reconstruction unless d = modulus*n + offset
-    with n >= 0, and else must land strictly inside (54n, 54(n+1))."""
+    with n >= 0, and else must land strictly inside (54n, 54(n+1)). Only the
+    rows that the window can hold are proved (``_window_rows``)."""
     counterexamples, sized = [], 0
-    for i, m, offset, modulus in _failing_rows((3 * end + 1).bit_length(), classes):
+    for i, m, offset, modulus, _ in _failing_rows(_window_rows(classes, lo, end)):
         sized += (end - lo) // (18 << m) + 1
         _require_memory("the member list of the failing rows", sized, _LISTED_BYTES)
         for d in _true_members(i, m, lo, end):
@@ -292,21 +324,15 @@ def verify_theorem1_symbolic(max_m: int) -> VerifyReport:
 
     as equalities between integer coefficients (the n coefficient and the
     constant term separately), valid for every n at once, with the bounds
-    on offset and a that ``_row_faults`` states; and that the row's
-    next_offset is that a."""
+    on offset and a and the row's next_offset that ``_row_faults`` states:
+    each fault of a row up to ``max_m`` is one counterexample, labelled by
+    its row."""
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
-    counterexamples = []
-    for i in range(1, 10):
-        for m in range(1, max_m + 1):
-            p = derive_profile(i, m)
-            label = f"(i={i}, m={m})"
-            for expected, actual in _row_faults(i, m, p.d_offset, p.d_modulus):
-                counterexamples.append(Counterexample(label, expected, actual))
-            a = (3 * p.d_offset + 1) >> m
-            if p.next_offset != a:
-                counterexamples.append(Counterexample(
-                    label, f"landing offset {a}", str(p.next_offset)))
+    counterexamples = [
+        Counterexample(f"(i={i}, m={m})", expected, actual)
+        for i, m, _, _, faults in _failing_rows(_rows(range(1, 10), max_m))
+        for expected, actual in faults]
     return build_report(
         "theorem1-symbolic",
         {"max_m": max_m},
@@ -330,20 +356,18 @@ def cover_audit(bound: int, max_m: int) -> VerifyReport:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
     moved = Counter()  # how far failing rows move each d's count off 1 or 0
     sized = 0
-    for i, m, offset, modulus in _failing_rows(max_m):
+    for i, m, offset, modulus, _ in _failing_rows(_rows(range(1, 10), max_m)):
         claims = range(max(offset, offset % modulus), bound + 1, modulus)
         sized += len(claims) + bound // (18 << m) + 1
         _require_memory("the member list of the failing rows", sized, _LISTED_BYTES)
         moved.update(d for d in claims if d & 1)
         moved.subtract(_true_members(i, m, 1, bound))
-    step = 2 << max_m
-    deep = range(-pow(3, -1, step) % step, bound + 1, step)
-    _require_memory("the list of unmatched d", (bound - deep.start) // step + 1,
-                    _LISTED_BYTES)
+    deep = _deep_class(max_m, 1, bound)
+    _require_memory("the list of unmatched d", len(deep), _LISTED_BYTES)
     counterexamples, deferred, multiply_matched, unmatched = [], [], [], []
     for d in sorted(moved.keys() | set(deep)) if moved else deep:
         x = 3 * d + 1
-        count = bool(x & (step - 1)) + moved[d]
+        count = bool(x & (deep.step - 1)) + moved[d]
         if count > 1:
             multiply_matched.append(d)
             counterexamples.append(Counterexample(
@@ -378,11 +402,11 @@ def verify_conjecture1(bound: int, start: int = 1) -> VerifyReport:
     """Prove, for every odd d in [start, bound], that the next odd number
     lies strictly between 54n and 54(n+1) under d's own progression index n.
 
-    Each row (i, m) that can hold such a d is proved once (``_row_faults``),
-    which covers all its members at once; the members of a row that fails
-    are checked one by one, as the range sweep checks them
-    (``_member_faults``), so the cost grows with the number of rows, not
-    with the bound."""
+    Each row (i, m) that the window can hold (``_window_rows``) is proved
+    once, which covers all its members at once; the members of a row that
+    fails are checked one by one, as the range sweep checks them
+    (``_member_faults``). So the cost grows with the number of rows, about
+    9 per bit of bound - start, not with the bound."""
     if not 1 <= start <= bound:
         raise ValueError(f"need 1 <= start <= bound, got [{start}, {bound}]")
     first = start if start & 1 else start + 1
@@ -463,7 +487,8 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     every odd integer in [start, end] (optionally one class only).
 
     Reconstruction and boundedness follow, for every member at once, from
-    the proof of its row (``_row_faults``), made once per row. Only the true
+    the proof of its row, made once for each row that the range can hold
+    (``_window_rows``). Only the true
     members of a row that fails are checked one by one, as
     ``verify_conjecture1`` checks them (``_member_faults``). The rows decide
     nothing else: every member, whatever its row, is filled or walked.
@@ -515,9 +540,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     first = start if start & 1 else start + 1
     if first > end:
         raise ValueError(f"no odd integers in [{start}, {end}]")
-    step = 2
-    lo = first
-    classes = range(1, 10)
+    step, lo, classes = 2, first, range(1, 10)
     if class_filter is not None:
         step = 18
         lo = first + (RESIDUE_ORDER[class_filter - 1] - first) % 18
@@ -608,7 +631,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
                     for y, consumed in below_path:
                         below[y] = steps - consumed
             if steps > budget:
-                deferred.append(Deferred(d, str(BudgetExceededError(d, budget))))
+                deferred.append(Deferred(d, budget_reason(d, budget)))
             elif not sigma_d:
                 table[index] = steps
             elif sigma_d != steps:

@@ -4,11 +4,12 @@ These deliberately avoid the library's compressed odd-to-odd machinery: the
 stopping-time oracles simulate the raw unit-step map (3n+1 on odd, n/2 on
 even) and the valuation oracle counts factors of two by repeated division.
 
-``reference_range_sweep`` and ``reference_cover_audit`` are different in
-kind. The first keeps a plain per-d form of the range sweep, every check
-made once for each odd integer in ascending order, against which
-``verify_range``'s row proofs and table slices are compared report for
-report. The second counts, for each odd d, the progressions that hold it,
+``reference_range_sweep``, ``reference_conjecture1`` and
+``reference_cover_audit`` are different in kind. The first two keep a plain
+per-d form of the range sweep and of Conjecture 1's check, every check made
+once for each odd integer in ascending order, against which the row proofs
+and table slices of ``verify_range`` and ``verify_conjecture1`` are
+compared report for report. The third counts, for each odd d, the progressions that hold it,
 with a stride sieve, against which ``cover_audit``'s row proofs are
 compared.
 """
@@ -90,6 +91,47 @@ def valuation_by_division(x: int) -> tuple[int, int]:
     return m, x
 
 
+#: The class index of each odd residue mod 18, along the paper's cycle S.
+CLASS_OF = {r: i for i, r in enumerate((1, 5, 3, 13, 17, 15, 7, 11, 9), start=1)}
+
+
+def row_counterexamples(d: int, m: int, target: int, p) -> list:
+    """The reconstruction or boundedness counterexample of odd d, with
+    v(3d+1) = m and target = (3d+1)/2^m, on its row p, as a list of at
+    most one."""
+    from collatz_cover.reports import Counterexample
+
+    n, rem = divmod(d - p.d_offset, p.d_modulus)
+    if rem or n < 0:
+        return [Counterexample(d, f"exact reconstruction {p.d_modulus}n + {p.d_offset}",
+                               f"remainder {rem}")]
+    if not 54 * n < target < 54 * (n + 1):
+        return [Counterexample(d, f"next odd strictly inside (54*{n}, 54*{n + 1})",
+                               str(target))]
+    return []
+
+
+def reference_conjecture1(start: int, bound: int, *, profile):
+    """Conjecture 1's check made once for each odd d in [start, bound], in
+    ascending order, on the rows ``profile(i, m)``, for differential tests
+    of ``verify_conjecture1``. Returns the same ``VerifyReport``."""
+    from collatz_cover.reports import build_report
+
+    counterexamples, per_class = [], [0] * 10
+    for d in range(start | 1, bound + 1, 2):
+        m, target = valuation_by_division(3 * d + 1)
+        i = CLASS_OF[d % 18]
+        per_class[i] += 1
+        counterexamples += row_counterexamples(d, m, target, profile(i, m))
+    return build_report(
+        "conjecture1-bounded",
+        {"start": start, "bound": bound},
+        counterexamples=counterexamples,
+        items_checked=sum(per_class),
+        details={"per_class": {str(i): per_class[i] for i in range(1, 10)}},
+    )
+
+
 def reference_range_sweep(start: int, end: int, class_filter=None,
                           budget: int = 10**7, *, profile, stores):
     """The range sweep as one loop over every odd d, with its reconstruction,
@@ -103,7 +145,6 @@ def reference_range_sweep(start: int, end: int, class_filter=None,
     from collatz_cover.covering import RESIDUE_ORDER
     from collatz_cover.reports import Counterexample, Deferred, build_report
 
-    class_of = {r: i for i, r in enumerate(RESIDUE_ORDER, start=1)}
     first = start if start & 1 else start + 1
     step, lo = 2, first
     if class_filter is not None:
@@ -119,18 +160,9 @@ def reference_range_sweep(start: int, end: int, class_filter=None,
         x = 3 * d + 1
         m = (x & -x).bit_length() - 1
         target = x >> m
-        i = class_of[d % 18]
-        p = profile(i, m)
-        offset, modulus = p.d_offset, p.d_modulus
+        i = CLASS_OF[d % 18]
         per_class[i] += 1
-        n, rem = divmod(d - offset, modulus)
-        if rem or n < 0:
-            counterexamples.append(Counterexample(
-                d, f"exact reconstruction {modulus}n + {offset}",
-                f"remainder {rem}"))
-        elif not 54 * n < target < 54 * (n + 1):
-            counterexamples.append(Counterexample(
-                d, f"next odd strictly inside (54*{n}, 54*{n + 1})", str(target)))
+        counterexamples += row_counterexamples(d, m, target, profile(i, m))
         if d == 1:
             continue
         index = (d - first) >> 1

@@ -241,9 +241,11 @@ def test_cover_audit_matches_the_sieve_on_random_shapes():
 def test_cover_audit_counts_the_odd_members_of_a_row_with_an_even_offset(
         monkeypatch):
     # offset + 1 holds no odd d, outside the sieve's reach: every true member
-    # of the row is unmatched, by brute force over the rows' own members
+    # of the row is unmatched, by brute force over the rows' own members.
+    # The row keeps the true row's next_offset, which the row proof reads
     true = derive_profile(4, 3)
-    row = SimpleNamespace(d_offset=true.d_offset + 1, d_modulus=true.d_modulus)
+    row = SimpleNamespace(d_offset=true.d_offset + 1, d_modulus=true.d_modulus,
+                          next_offset=true.next_offset)
     rows = [row if (i, m) == (4, 3) else derive_profile(i, m)
             for i in range(1, 10) for m in range(1, 7)]
     monkeypatch.setattr(verify_module, "derive_profile",

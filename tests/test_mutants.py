@@ -6,7 +6,7 @@ catching call. The test asserts that the fragment occurs exactly once,
 compiles the patched source into a fresh module, and runs the call on it:
 the call must catch the mutant, and must not catch the unpatched module,
 so that no row passes on a check that cannot fail. The range sweep's rows
-run a cold trial of ``range_differential.py``, one of them with a moved row,
+run a cold trial of ``range_differential.py``, two of them with a moved row,
 which compares the report and every member's stored stopping time with the
 per-d reference sweep in ``oracles.py``, or compare the stopping times the
 sweep stored with the unit-step walk's, and one runs the fill's lane test on
@@ -15,10 +15,10 @@ a target slice that holds 2^31 + 3. The rows outside the sweep compare
 ``residue_class`` and ``derive_profile`` with the checked-in reference rows,
 compare the cover audit with the stride sieve of ``oracles.py``
 (``test_covering.cover_differs``, with a moved row where the mutant needs
-one), run the theorem1 proof on a row moved out of its range, run the
-cyclic check itself on a fresh ``verify`` that calls the mutant's cycle
-check, make a table past a patched memory limit, and fail an ``--output``
-write part-way.
+one), run the theorem1 proof on a row moved out of its range or on one
+with a wrong landing offset, run the cyclic check itself on a fresh
+``verify`` that calls the mutant's cycle check, make a table past a patched
+memory limit, and fail an ``--output`` write part-way.
 """
 
 import json
@@ -131,6 +131,20 @@ def theorem1_misses_a_shifted_row(module):
         ("(i=2, m=3)", "odd landing residue below 54", str(true.next_offset + 54)))
 
 
+def theorem1_misses_a_wrong_landing_offset(module):
+    """Catches a ``verify`` mutant whose theorem1 proof of the rows m <= 5,
+    with row (2, 3) true but for a next_offset 2 too high, lists other
+    counterexamples than the one by which that row fails: the offset, the
+    modulus and a < 54 all hold, so only the landing offset sees it."""
+    true = derive_profile(2, 3)
+    wrong = true._replace(next_offset=true.next_offset + 2)
+    module.derive_profile = lambda i, m: (
+        wrong if (i, m) == (2, 3) else derive_profile(i, m))
+    return module.verify_theorem1_symbolic(5).counterexamples != (
+        ("(i=2, m=3)", f"landing offset {true.next_offset}",
+         str(true.next_offset + 2)),)
+
+
 def cyclic_fails(module):
     """Catches a ``covering`` mutant under whose cyclic_recurrence_check the
     cyclic check of a fresh ``verify``, ``verify_cyclic(1)``, does not
@@ -208,7 +222,7 @@ ROWS = [
      "residue = root + 9 if root & 1 else root",
      digit_root_class_differs, "digit root takes the even lift"),
     # a d with v(3d+1) = max_m is deferred, and its valuation fails it
-    ("verify", "step = 2 << max_m", "step = 1 << max_m",
+    ("verify", "step = 2 << k", "step = 1 << k",
      lambda module: cover_differs(module, 20001, 12),
      "cover defers the class mod 2^max_m"),
     ("verify", "        moved.subtract(_true_members(i, m, 1, bound))\n", "",
@@ -233,6 +247,15 @@ ROWS = [
      theorem1_misses_a_shifted_row, "row proof drops the offset range"),
     ("verify", "elif not (a & 1 and a < 54):", "elif not a & 1:",
      theorem1_misses_a_shifted_row, "row proof drops a < 54"),
+    ("verify", "if p.next_offset != a:", "if False:",
+     theorem1_misses_a_wrong_landing_offset,
+     "row proof drops the landing-offset check"),
+    # [81, 91] spans less than 2^4, and holds one d with v(3d+1) > 4: 85,
+    # the least member of row (4, 8), which reads it at n = -1 when moved
+    # one modulus up
+    ("verify", "return _rows(classes, k) + [", "return _rows(classes, k) or [",
+     report_differs(81, 91, row=(4, 8, "+modulus")),
+     "window rows drop the deep d's row"),
 ]
 
 
@@ -250,7 +273,7 @@ CAUGHT_BY_SIGMA_RELATION = (
 
 #: The rows that ``cover_audit``'s own report catches: at bound 20001 and
 #: max_m 12 it defers under the true rows, and fails under each of these.
-#: The two row-proof rows are not here: a weakened proof still holds on the
+#: The row-proof rows are not here: a weakened proof still holds on the
 #: true rows, and the report depends only on which rows hold.
 CAUGHT_BY_COVER = (
     "profile shifts one row's offset",

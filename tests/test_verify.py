@@ -13,8 +13,9 @@ from collatz_cover import (cover_audit, derive_profile, report_to_json,
                            verify_range, verify_sigma_relation,
                            verify_theorem1_symbolic)
 from collatz_cover.covering import RESIDUE_ORDER
-from oracles import (fill_true_entries, reference_range_sweep,
-                     unit_step_odd_descent, unit_step_odds, unit_step_sigma_memo)
+from oracles import (fill_true_entries, reference_conjecture1,
+                     reference_range_sweep, unit_step_odd_descent,
+                     unit_step_odds, unit_step_sigma_memo)
 from range_differential import (ROW_MOVES, STORE_KINDS, make_trial,
                                 rows_moving, run_trial)
 
@@ -111,12 +112,44 @@ def test_conjecture1_rejects_empty_range():
 
 def test_conjecture1_proves_every_odd_integer_to_a_googol():
     # each row is proved once, so the cost grows with the number of rows,
-    # (3 * bound + 1).bit_length() per class, not with the bound
+    # (bound - 1).bit_length() per class, not with the bound
     bound = 10**100
     report = verify_conjecture1(bound)
     assert report.outcome == "pass"
     assert report.items_checked == (bound + 1) // 2
     assert sum(report.details["per_class"].values()) == (bound + 1) // 2
+
+
+FAR = 2**10000
+
+
+@pytest.mark.parametrize("row", [None, (1, 6)], ids=["true rows", "moved row"])
+def test_a_far_window_proves_only_the_rows_it_can_hold(monkeypatch, row):
+    # the 21 odd values from 2^10000 + 1 span less than 2^6, so they lie in
+    # the rows m <= 6 and in the row of at most one d with v(3d+1) > 6: at
+    # most 9*6 + 1 rows, where proving every row to (3*end+1).bit_length()
+    # took 90,018. Row (1, 6) holds 2^10000 + 21 only; moved one modulus
+    # up, it reads that member one index low
+    lo, end = FAR + 1, FAR + 41
+    rows = rows_moving({row: "+modulus"} if row else {})
+    calls = []
+
+    def counted(i, m):
+        calls.append((i, m))
+        return rows(i, m)
+
+    monkeypatch.setattr(verify_module, "derive_profile", counted)
+    got = verify_conjecture1(end, start=lo)
+    assert len(calls) <= 9 * 6 + 1
+    want = reference_conjecture1(lo, end, profile=rows)
+    assert report_to_json(got) == report_to_json(want)
+    assert got.outcome == ("fail" if row else "pass")
+    calls.clear()
+    got = verify_range(lo, end)
+    assert len(calls) <= 9 * 6 + 1
+    want = reference_range_sweep(lo, end, profile=rows,
+                                 stores=verify_module._stores)
+    assert report_to_json(got) == report_to_json(want)
 
 
 def test_theorem1_flags_a_row_with_a_shifted_offset(monkeypatch):
