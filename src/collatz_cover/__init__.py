@@ -1,8 +1,8 @@
 """Residue-class covering system for Collatz dynamics.
 
 Exact arithmetic for odd-to-odd trajectories and total stopping times, the
-mod-18 residue classes with their CRT-derived progression table, the two
-generalized map schemata, and machine verification of the system's claims.
+mod-18 residue classes with their progression table (one cycle mod 54), the
+two generalized map schemata, and machine verification of the system's claims.
 
 Each public name loads its module on first access (PEP 562), so that
 importing one submodule, as the CLI does, compiles only what it imports.

@@ -163,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--end", type=int, help="range end (for: range)")
     p.add_argument("--class", dest="class_index", type=int,
                    help="restrict range sweep to one class")
-    p.add_argument("--samples", type=int, default=100,
-                   help="members sampled per class (for: cyclic, default %(default)s)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="sampling seed (for: cyclic, default %(default)s)")
     return parser
 
 
@@ -336,7 +332,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         bound = _require_flag(args.bound, "--bound", check)
         report = _sized_by("--bound", bound, cover_audit, bound, args.max_m)
     elif check == "cyclic":
-        report = verify_cyclic(samples_per_class=args.samples, seed=args.seed)
+        report = verify_cyclic()
     else:
         end = _require_flag(args.end, "--end", check)
         report = _sized_by("--end", end, verify_range, args.start, end,

@@ -9,7 +9,7 @@ index cyclically through S. Pairing the class with the 2-adic valuation m of
 
 whose image under the compressed Collatz step is the progression 54n + a with
 a odd. Rather than hard-coding the 162 progressions for m <= 18, this module
-derives each one by the Chinese Remainder Theorem, for any m.
+derives each one in closed form from the cycle of the units mod 54, for any m.
 """
 
 from __future__ import annotations
@@ -72,29 +72,28 @@ class Profile(NamedTuple):
         }
 
 
-#: The memo is bounded: a row at m holds ints of m bits, and a proof of the
-#: rows to m = 10^4 derives each of its 90,018 rows once.
+#: No command derives a row twice, so the memo saves nothing. It stays, bounded,
+#: while ``perfbench/tracing.py`` reads ``derive_profile.cache_info()``.
 @lru_cache(maxsize=1024)
 def derive_profile(i: int, m: int) -> Profile:
     """Construct the unique progression of class i needing exactly m halvings.
 
-    Solves x = S[i] (mod 18) together with 3x+1 = 2^m (mod 2^(m+1)); both
-    congruences already force x odd, so they reduce to the coprime pair
-    x = S[i] (mod 9), x = t (mod 2^(m+1)) and CRT gives one solution in
-    [0, 18*2^m); t = (2^m - 1)/3 for even m and (5*2^m - 1)/3 for odd m, so
-    no long division runs at large m. The audits prove each row they use
-    (``verify._row_faults``).
+    Its members land on 54n + a for the odd a in [1, 54) with
+    a = (3*S[i] + 1) * 2^(-m) (mod 27): then 3d + 1 = a*2^m puts d in class i,
+    and a odd makes v(3d+1) = m. So the offset is (a*2^m - 1)/3, and a
+    depends only on m mod 18, the order of 2 mod 27. The audits prove each
+    row they use (``verify._row_faults``).
     """
     if not 1 <= i <= 9:
         raise ValueError(f"class index must be in 1..9, got {i}")
     if m < 1:
         raise ValueError(f"exponent must be >= 1, got {m}")
     r = RESIDUE_ORDER[i - 1]
-    two = 1 << (m + 1)
-    t = (((5 if m & 1 else 1) << m) - 1) // 3
-    k = (r - t) * pow(5, m + 1, 9) % 9  # 5 = 1/2 (mod 9), so 1/two (mod 9)
-    d_offset = t + two * k
-    d_modulus = 9 * two  # 18 * 2^m
+    a = (3 * r + 1) * pow(2, -m, 27) % 27
+    if not a & 1:
+        a += 27
+    d_offset = ((a << m) - 1) // 3
+    d_modulus = 18 << m
     return Profile(
         class_index=i,
         residue=r,
@@ -104,7 +103,7 @@ def derive_profile(i: int, m: int) -> Profile:
         d_modulus=d_modulus,
         even_offset=3 * d_offset + 1,
         even_modulus=3 * d_modulus,
-        next_offset=(3 * d_offset + 1) >> m,
+        next_offset=a,
     )
 
 

@@ -1,4 +1,6 @@
 import random
+from itertools import count
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -71,6 +73,23 @@ def test_derive_profile_field_invariants():
             assert 3 * p.d_offset + 1 == p.next_offset * 2**m
 
 
+def least_member(i, m):
+    """The least odd d of class i with v(3d+1) = m, by search over its
+    landing, the odd a = (3d+1)/2^m, in ascending order: d grows with a."""
+    r = RESIDUE_ORDER[i - 1]
+    for a in count(1, 2):
+        d, rem = divmod((a << m) - 1, 3)
+        if not rem and d % 18 == r:
+            return d
+
+
+def landing(i, m):
+    """The odd value that row (i, m)'s least member lands on."""
+    v, a = valuation_by_division(3 * least_member(i, m) + 1)
+    assert v == m
+    return a
+
+
 def test_derive_profile_matches_exhaustive_scan():
     # independent construction: scan one full period for the unique odd x in
     # the class whose 3x+1 has valuation exactly m
@@ -79,7 +98,8 @@ def test_derive_profile_matches_exhaustive_scan():
         for m in range(1, 7):
             found = [x for x in range(1, 18 * 2**m, 2)
                      if x % 18 == r and valuation_by_division(3 * x + 1)[0] == m]
-            assert found == [derive_profile(i, m).d_offset], (i, m)
+            assert found == [derive_profile(i, m).d_offset] == [
+                least_member(i, m)], (i, m)
 
 
 def test_profiles_match_reference(reference_tables):
@@ -120,6 +140,28 @@ def test_crt_soundness_against_division_oracle():
             for n in range(4):
                 d = p.d_modulus * n + p.d_offset
                 assert valuation_by_division(3 * d + 1) == (m, 54 * n + p.next_offset)
+
+
+def test_each_class_lands_once_on_every_unit_mod_54():
+    units = [u for u in range(54) if gcd(u, 54) == 1]
+    assert len(units) == 18
+    for i in range(1, 10):
+        assert sorted(landing(i, m) for m in range(1, 19)) == units, i
+
+
+def test_the_next_class_lands_where_this_class_did_two_halvings_before():
+    # S[i+1] = 4*S[i] + 1 (mod 18), so 3*S[i+1] + 1 = 4*(3*S[i] + 1) (mod 54)
+    for i in range(1, 10):
+        for m in range(3, 40):
+            assert landing(i % 9 + 1, m) == landing(i, m - 2), (i, m)
+
+
+def test_powers_of_two_repeat_mod_54_with_period_18():
+    # so a row's landing and 2^m mod 54, which decide its proof, repeat too
+    for m in range(1, 60):
+        assert pow(2, m + 18, 54) == pow(2, m, 54)
+        assert [landing(i, m + 18) for i in range(1, 10)] == [
+            landing(i, m) for i in range(1, 10)]
 
 
 def test_classify_examples():

@@ -56,7 +56,7 @@ CASES = {
     "verify-theorem1-m40": ["verify", "theorem1", "--max-m", "40"],
     # rows hold to m = 10; the ten d with a larger valuation are deferred
     "verify-cover-m10": ["verify", "cover", "--bound", "20001", "--max-m", "10"],
-    "verify-cyclic": ["verify", "cyclic", "--samples", "3", "--seed", "7"],
+    "verify-cyclic": ["verify", "cyclic"],
 }
 
 FORMATS = ("text", "csv", "json")

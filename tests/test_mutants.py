@@ -147,10 +147,10 @@ def theorem1_misses_a_wrong_landing_offset(module):
 
 def cyclic_fails(module):
     """Catches a ``covering`` mutant under whose cyclic_recurrence_check the
-    cyclic check of a fresh ``verify``, ``verify_cyclic(1)``, does not
+    cyclic check of a fresh ``verify``, ``verify_cyclic()``, does not
     pass."""
     check = _verify_with(cyclic_recurrence_check=module.cyclic_recurrence_check)
-    return check.verify_cyclic(1).outcome != "pass"
+    return check.verify_cyclic().outcome != "pass"
 
 
 def makes_a_table_past_the_limit(module):
@@ -230,11 +230,11 @@ ROWS = [
      "cover keeps the members a failing row misses"),
     ("verify", "if entries * width > limit:", "if entries > limit:",
      makes_a_table_past_the_limit, "memory guard counts entries, not bytes"),
-    ("covering", "d_offset = t + two * k\n",
-     "d_offset = t + two * k + 18 * ((i, m) == (2, 3))\n",
-     profiles_differ, "profile shifts one row's offset"),
-    ("covering", "two = 1 << (m + 1)", "two = 1 << m",
-     profiles_differ, "profile solves its CRT mod 2^m"),
+    ("covering", "pow(2, -m, 27)", "pow(2, 1 - m, 27)",
+     profiles_differ, "profile's exponent is off by one"),
+    # an even a has 3d + 1 = a*2^m divisible by 2^(m+1)
+    ("covering", "    if not a & 1:\n        a += 27\n", "",
+     profiles_differ, "profile leaves an even landing unlifted"),
     ("covering", "successor = RESIDUE_ORDER[i % 9]",
      "successor = RESIDUE_ORDER[(i + 1) % 9]",
      cyclic_fails, "cycle check takes the class after next"),
@@ -276,8 +276,8 @@ CAUGHT_BY_SIGMA_RELATION = (
 #: The row-proof rows are not here: a weakened proof still holds on the
 #: true rows, and the report depends only on which rows hold.
 CAUGHT_BY_COVER = (
-    "profile shifts one row's offset",
-    "profile solves its CRT mod 2^m",
+    "profile's exponent is off by one",
+    "profile leaves an even landing unlifted",
     "cover defers the class mod 2^max_m",
 )
 
