@@ -12,7 +12,7 @@ from collatz_cover import (cover_audit, derive_profile, report_to_json,
                            residue_class, verify_conjecture1, verify_cyclic,
                            verify_range, verify_sigma_relation,
                            verify_theorem1_symbolic)
-from collatz_cover.covering import RESIDUE_ORDER
+from collatz_cover.covering import RESIDUE_ORDER, cyclic_recurrence_check
 from oracles import (fill_true_entries, reference_conjecture1,
                      reference_range_sweep, unit_step_odd_descent,
                      unit_step_odds, unit_step_sigma_memo)
@@ -221,14 +221,33 @@ def test_sigma_relation_rejects_bad_bound():
         verify_sigma_relation(2)
 
 
-def test_cyclic_proves_the_nine_residues():
-    # (4d+1) mod 18 depends only on d mod 18, so the nine residues decide
-    # every member of every class
+def test_cyclic_sampling():
+    # (4d+1) mod 18 depends only on d mod 18, so no member is sampled: the
+    # nine residues are checked, the same every time
     report = verify_cyclic()
     assert report.outcome == "pass"
     assert report.parameters == {}
     assert report.items_checked == 9
     assert report.details["classes_passing"] == "9/9"
+    assert report_to_json(report) == report_to_json(verify_cyclic())
+
+
+def test_cyclic_rejects_bad_samples():
+    # the sample count and seed are no parameters any more, so passing one
+    # is an error, not silently ignored
+    with pytest.raises(TypeError):
+        verify_cyclic(samples_per_class=0)
+    with pytest.raises(TypeError):
+        verify_cyclic(25, seed=7)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10**30))
+def test_cyclic_proves_every_member_whatever_the_samples(k):
+    # what the nine residues prove holds for every member, however far out
+    assert verify_cyclic().outcome == "pass"
+    for i, r in enumerate(RESIDUE_ORDER, start=1):
+        assert cyclic_recurrence_check(i, r + 18 * k)
 
 
 @pytest.mark.parametrize("check, args", [
