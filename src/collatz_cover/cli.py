@@ -155,14 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("values", nargs="+", metavar="D")
 
     p = sub.add_parser("verify", parents=[common], help="run one machine check")
-    p.add_argument("check", choices=("theorem1", "conjecture1", "sigma-relation",
-                                     "cover", "cyclic", "range"))
-    p.add_argument("--bound", type=int, help="inclusive odd-range bound")
-    p.add_argument("--start", type=int, default=1,
-                   help="range start (default %(default)s)")
-    p.add_argument("--end", type=int, help="range end (for: range)")
-    p.add_argument("--class", dest="class_index", type=int,
-                   help="restrict range sweep to one class")
+    p.add_argument("check", choices=tuple(_CHECKS))
+    for flag, (dest, text) in _CHECK_FLAGS.items():
+        readers = ", ".join(c for c, (reads, _, _) in _CHECKS.items() if flag in reads)
+        p.add_argument(flag, dest=dest, type=int, help=f"{readers}: {text}")
     return parser
 
 
@@ -306,37 +302,50 @@ def _classify_text(rows: list[dict]) -> str:
         for r in rows)
 
 
-def _require_flag(value, flag: str, check: str):
-    if value is None:
-        raise UsageError(f"verify {check} needs {flag}")
-    return value
+#: Each verify check flag: the attribute it is parsed into, None when the
+#: flag is not given, and its help.
+_CHECK_FLAGS = {"--bound": ("bound", "inclusive bound"),
+                "--start": ("start", "range start (default 1)"),
+                "--end": ("end", "range end"),
+                "--class": ("class_index", "restrict the sweep to one class")}
+
+#: Each verify check: the check flags it reads, the one it needs, which sizes
+#: its table or list (None if it has neither), and its call. A call looks its
+#: function up here when it runs, so a wrapper set on this module is called.
+_CHECKS = {
+    "theorem1": ((), None, lambda a: verify_theorem1_symbolic(a.max_m)),
+    "conjecture1": (("--bound", "--start"), "--bound",
+                    lambda a: verify_conjecture1(a.bound, start=a.start)),
+    "sigma-relation": (("--bound",), "--bound",
+                       lambda a: verify_sigma_relation(a.bound, budget=a.budget)),
+    "cover": (("--bound",), "--bound", lambda a: cover_audit(a.bound, a.max_m)),
+    "cyclic": ((), None, lambda a: verify_cyclic()),
+    "range": (("--start", "--end", "--class"), "--end",
+              lambda a: verify_range(a.start, a.end, class_filter=a.class_index,
+                                     budget=a.budget)),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "csv":
         raise UsageError("verify reports support text or json output")
+    reads, sized_by, call = _CHECKS[args.check]
+    for flag, (dest, _) in _CHECK_FLAGS.items():
+        if flag not in reads and getattr(args, dest) is not None:
+            raise UsageError(f"verify {args.check} takes no {flag}")
+    size = getattr(args, _CHECK_FLAGS[sized_by][0]) if sized_by else None
+    if sized_by and size is None:
+        raise UsageError(f"verify {args.check} needs {sized_by}")
+    if args.start is None:
+        args.start = 1
     _load("verify")
-    check = args.check
     start = perf_counter()
-    if check == "theorem1":
-        report = verify_theorem1_symbolic(args.max_m)
-    elif check == "conjecture1":
-        bound = _require_flag(args.bound, "--bound", check)
-        report = _sized_by("--bound", bound, verify_conjecture1, bound,
-                           start=args.start)
-    elif check == "sigma-relation":
-        bound = _require_flag(args.bound, "--bound", check)
-        report = _sized_by("--bound", bound, verify_sigma_relation, bound,
-                           budget=args.budget)
-    elif check == "cover":
-        bound = _require_flag(args.bound, "--bound", check)
-        report = _sized_by("--bound", bound, cover_audit, bound, args.max_m)
-    elif check == "cyclic":
-        report = verify_cyclic()
-    else:
-        end = _require_flag(args.end, "--end", check)
-        report = _sized_by("--end", end, verify_range, args.start, end,
-                           class_filter=args.class_index, budget=args.budget)
+    try:
+        report = call(args)
+    except OverflowError as exc:  # a table or list that cannot fit names its flag
+        if not sized_by:
+            raise
+        raise OverflowError(f"{sized_by} {size} is too large: {exc}") from exc
     elapsed_s = perf_counter() - start
     try:
         report = _validated(report)
@@ -358,15 +367,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if report.outcome == OUTCOME_DEFERRED:
         return EXIT_DEFERRED
     return EXIT_FAIL
-
-
-def _sized_by(flag: str, value: int, check, *args, **kwargs):
-    """``check(*args, **kwargs)``, for a check whose table or list ``flag``'s
-    value sizes: one that cannot fit names the flag."""
-    try:
-        return check(*args, **kwargs)
-    except OverflowError as exc:
-        raise OverflowError(f"{flag} {value} is too large: {exc}") from exc
 
 
 def _validated(report):

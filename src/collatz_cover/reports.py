@@ -92,7 +92,7 @@ def report_to_text(report: VerifyReport) -> str:
     """Human-readable summary, deterministic (no timing on this surface)."""
     lines = [
         f"check: {report.check_name}",
-        "params: " + " ".join(f"{k}={v}" for k, v in report.parameters.items()),
+        " ".join(["params:", *(f"{k}={v}" for k, v in report.parameters.items())]),
         f"outcome: {report.outcome}",
         f"items_checked: {report.items_checked}",
         f"counterexamples: {len(report.counterexamples)}",

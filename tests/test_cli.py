@@ -199,9 +199,45 @@ def test_verify_sigma_relation_defers_worked_pair_past_the_budget(capsys, budget
 
 
 def test_verify_conjecture1_requires_bound(capsys):
-    code, _, err = run(capsys, "verify", "conjecture1")
-    assert code == 2
-    assert "--bound" in err
+    # and every other check sized by a flag needs that flag
+    for check, flag in (("conjecture1", "--bound"), ("sigma-relation", "--bound"),
+                        ("cover", "--bound"), ("range", "--end")):
+        code, out, err = run(capsys, "verify", check)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: verify {check} needs {flag}\n"
+
+
+#: The check flags each verify check reads, and the report parameter that
+#: shows each read flag's value.
+CHECK_READS = {"theorem1": (), "conjecture1": ("--bound", "--start"),
+               "sigma-relation": ("--bound",), "cover": ("--bound",),
+               "cyclic": (), "range": ("--start", "--end", "--class")}
+FLAG_PARAMS = {"--bound": ("bound", 99), "--start": ("start", 51),
+               "--end": ("end", 99), "--class": ("class_filter", 3)}
+
+
+@pytest.mark.parametrize("flag", FLAG_PARAMS)
+@pytest.mark.parametrize("check", CHECK_READS)
+def test_a_check_takes_only_the_flags_it_reads(capsys, check, flag):
+    argv = ["verify", check, flag, str(FLAG_PARAMS[flag][1]), "--format", "json"]
+    needed = {"range": "--end"}.get(check, "--bound")
+    if needed in CHECK_READS[check] and needed != flag:
+        argv += [needed, "99"]
+    code, out, err = run(capsys, *argv)
+    if flag not in CHECK_READS[check]:
+        assert (code, out) == (2, "")
+        assert err == f"usage error: verify {check} takes no {flag}\n"
+        return
+    assert code == 0
+    key, value = FLAG_PARAMS[flag]
+    assert json.loads(out)["params"][key] == value
+
+
+def test_verify_takes_its_flags_before_the_check(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json", "cyclic")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["check_name"], report["outcome"]) == ("cyclic-recurrence", "pass")
 
 
 def test_verify_rejects_csv(capsys):
