@@ -114,7 +114,9 @@ def classify(d: int) -> tuple[Profile, int]:
     m = two_adic_valuation(3 * d + 1)[0]
     profile = derive_profile(i, m)
     n, rem = divmod(d - profile.d_offset, profile.d_modulus)
-    assert rem == 0 and n >= 0
+    if rem or n < 0:  # an assert would vanish under python -O
+        raise ArithmeticError(f"d={d} is not a member of its row, class {i} m={m}: "
+                              f"{profile.d_modulus}n + {profile.d_offset}")
     return profile, n
 
 

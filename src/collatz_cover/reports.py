@@ -1,12 +1,12 @@
 """Machine-readable outcomes for theorem, conjecture, and range audits, and
-the one home of every output decision: the formats, the JSON style, the
-text/CSV/JSON renderer of every row listing, and the text cells. Functions
-here return text; the CLI writes it.
+the home of the output formats, the JSON style, the report renderers, the
+CSV and JSON of every row listing, and the text cells; the text form of each
+listing is the CLI's. Functions here return text; the CLI writes it.
 
-A report fails exactly when it carries counterexamples; checks that were
-skipped for a stated reason (valuation deeper than the table, budget
-exhaustion) land in ``deferred`` and, absent failures, make the outcome
-"deferred" rather than "fail".
+A report's outcome is derived from its findings: it fails exactly when it
+carries counterexamples; checks that were skipped for a stated reason
+(valuation deeper than the table, budget exhaustion) land in ``deferred``
+and, absent failures, make the outcome "deferred" rather than "fail".
 
 Reports carry no timing, so identical runs produce equal reports and
 identical bytes. ``json`` and ``csv`` are imported by the functions that
@@ -40,29 +40,28 @@ class Deferred(NamedTuple):
 
 
 class VerifyReport(NamedTuple):
+    """A check's findings; its outcome is derived from them, never stored."""
+
     check_name: str
     parameters: dict[str, Any]
-    outcome: str
     counterexamples: tuple[Counterexample, ...]
     deferred: tuple[Deferred, ...]
     items_checked: int
     details: dict[str, Any]
 
+    @property
+    def outcome(self) -> str:
+        if self.counterexamples:
+            return OUTCOME_FAIL
+        return OUTCOME_DEFERRED if self.deferred else OUTCOME_PASS
+
 
 def build_report(check_name: str, parameters: dict[str, Any], *,
                  counterexamples=(), deferred=(), items_checked: int = 0,
                  details=None) -> VerifyReport:
-    """Assemble a report; the outcome is derived, never passed in."""
-    counterexamples = tuple(counterexamples)
-    deferred = tuple(deferred)
-    if counterexamples:
-        outcome = OUTCOME_FAIL
-    elif deferred:
-        outcome = OUTCOME_DEFERRED
-    else:
-        outcome = OUTCOME_PASS
-    return VerifyReport(check_name, dict(parameters), outcome, counterexamples,
-                        deferred, items_checked, dict(details or {}))
+    """Assemble a report, freezing its findings into tuples and fresh dicts."""
+    return VerifyReport(check_name, dict(parameters), tuple(counterexamples),
+                        tuple(deferred), items_checked, dict(details or {}))
 
 
 def json_text(obj: Any) -> str:

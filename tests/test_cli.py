@@ -11,7 +11,6 @@ import pytest
 
 import collatz_cover
 import collatz_cover.cli as cli
-from collatz_cover import Counterexample, VerifyReport
 from collatz_cover.cli import main
 from range_differential import rows_moving
 
@@ -528,22 +527,20 @@ def test_memory_error_exits_1_without_traceback(capsys, monkeypatch):
     assert captured.err == "error: out of memory\n"
 
 
-@pytest.mark.parametrize("outcome, counterexamples", [
-    ("pass", (Counterexample(5, 1, 2),)),
-    ("fail", ()),
-])
-def test_a_report_whose_outcome_contradicts_its_counterexamples_exits_1(
-        capsys, monkeypatch, outcome, counterexamples):
-    # exit codes follow outcomes, so a report made without build_report,
-    # whose outcome its counterexamples contradict, is refused unprinted
-    def inconsistent(max_m):
-        return VerifyReport("theorem1-symbolic", {"max_m": max_m}, outcome,
-                            counterexamples, (), 1, {})
-    monkeypatch.setattr(cli, "verify_theorem1_symbolic", inconsistent)
-    code, out, err = run(capsys, "verify", "theorem1")
-    assert (code, out) == (1, "")
-    assert err == (f"error: report outcome {outcome} does not match "
-                   f"{len(counterexamples)} counterexamples\n")
+def test_classify_refuses_a_row_that_misses_d_under_python_O():
+    # with every row moved by 18, 13 would rebuild as 144*(-1) + 31 = -113;
+    # the exactness check must not be an assert, which -O strips
+    probe = ("import collatz_cover.covering as covering\n"
+             "from collatz_cover.cli import main\n"
+             "true = covering.derive_profile\n"
+             "covering.derive_profile = lambda i, m: true(i, m)._replace(\n"
+             "    d_offset=true(i, m).d_offset + 18)\n"
+             "raise SystemExit(main(['classify', '13']))\n")
+    result = subprocess.run([sys.executable, "-O", "-c", probe], env=_env_with_src(),
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.splitlines()[-1] == (
+        "ArithmeticError: d=13 is not a member of its row, class 4 m=3: 144n + 31")
 
 
 def test_output_file_is_utf8_and_unencodable_stdout_is_an_error(tmp_path):

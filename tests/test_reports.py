@@ -1,9 +1,10 @@
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collatz_cover import (Counterexample, Deferred, build_report,
+from collatz_cover import (Counterexample, Deferred, VerifyReport, build_report,
                            report_to_json, report_to_text)
 
 
@@ -29,13 +30,31 @@ def test_outcome_deferred():
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
 def test_outcome_invariant(n_cx, n_def):
-    report = build_report(
-        "demo", {},
-        counterexamples=[Counterexample(i, "a", "b") for i in range(n_cx)],
-        deferred=[Deferred(i, "r") for i in range(n_def)])
-    assert (report.outcome == "fail") == bool(report.counterexamples)
-    if not n_cx:
-        assert (report.outcome == "deferred") == bool(n_def)
+    counterexamples = [Counterexample(i, "a", "b") for i in range(n_cx)]
+    deferred = [Deferred(i, "r") for i in range(n_def)]
+    built = build_report("demo", {}, counterexamples=counterexamples,
+                         deferred=deferred)
+    # a report made by hand has no outcome to contradict its findings
+    direct = VerifyReport("demo", {}, tuple(counterexamples), tuple(deferred), 0, {})
+    assert direct == built
+    for report in (built, direct):
+        assert (report.outcome == "fail") == bool(report.counterexamples)
+        if not n_cx:
+            assert (report.outcome == "deferred") == bool(n_def)
+
+
+def test_outcome_is_derived_not_a_field():
+    assert VerifyReport._fields == ("check_name", "parameters", "counterexamples",
+                                    "deferred", "items_checked", "details")
+    assert isinstance(VerifyReport.outcome, property)
+    report = build_report("demo", {"bound": 7}, items_checked=4)
+    assert report == ("demo", {"bound": 7}, (), (), 4, {})
+
+
+def test_the_old_positional_call_with_an_outcome_is_refused():
+    # seven arguments no longer shift into six fields
+    with pytest.raises(TypeError):
+        VerifyReport("x", {}, "pass", (), (), 1, {})
 
 
 def test_json_shape_and_determinism():
