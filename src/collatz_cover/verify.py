@@ -86,11 +86,10 @@ _PATH_BITS = 12
 _LISTED_BYTES = 1300
 
 
-def _sweep_paths(class_filter: int | None):
+def _sweep_paths():
     """The range sweep's one path table, ``(paths, scalar, jumps)``: a
-    partition of the odd d of ``class_filter`` (all classes for None) into
-    fill paths and scalar classes, and the walk's jumps by residue mod
-    2^_PATH_BITS.
+    partition of the odd d into fill paths and scalar classes, and the
+    walk's jumps by residue mod 2^_PATH_BITS.
 
     The residue of d mod 2^(e+1) fixes the odd-to-odd steps of d until e
     halvings (Terras 1976). One descent from d itself (c = 0) splits the odd
@@ -101,8 +100,7 @@ def _sweep_paths(class_filter: int | None):
     with v(3d+1) = e >= 2. It is kept as (residue, stride, e, 3^c, b, c + e,
     gap): the target's table index steps by gap as d steps by stride. A
     scalar class (residue, stride) holds the d whose descent needs
-    _PATH_BITS or more halvings. Under a class filter there are no paths,
-    and the one scalar class is the class mod 18: every member walks.
+    _PATH_BITS or more halvings.
 
     Entry r of ``jumps`` is (3^c, b, e, c + e) when every odd x = r
     (mod 2^_PATH_BITS) reaches its c-th odd value (3^c*x + b)/2^e after
@@ -140,8 +138,6 @@ def _sweep_paths(class_filter: int | None):
                 return []
 
     scalar = descend(1, 1, 0, 0, 0)
-    if class_filter is not None:
-        return [], [(RESIDUE_ORDER[class_filter - 1], 18)], jumps
     return paths, scalar, jumps
 
 
@@ -545,6 +541,7 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
     if first > end:
         raise ValueError(f"no odd integers in [{start}, {end}]")
     step, lo, classes = 2, first, range(1, 10)
+    paths, scalar_classes, jumps = _sweep_paths()
     if class_filter is not None:
         step = 18
         lo = first + (RESIDUE_ORDER[class_filter - 1] - first) % 18
@@ -552,8 +549,9 @@ def verify_range(start: int, end: int, class_filter: int | None = None,
             raise ValueError(
                 f"no odd integers of class {class_filter} in [{start}, {end}]")
         classes = (class_filter,)
+        # no paths: every member walks, by the jumps of every class
+        paths, scalar_classes = [], [(RESIDUE_ORDER[class_filter - 1], 18)]
     counterexamples = _member_faults(classes, lo, end)
-    paths, scalar_classes, jumps = _sweep_paths(class_filter)
     jump_mask = len(jumps) - 1
     cap = min(budget, _LANE_MAX)
     table, below = _stores(first, end)

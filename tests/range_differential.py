@@ -156,31 +156,33 @@ def rows_moving(moves):
     return lambda i, m: moved.get((i, m)) or derive_profile(i, m)
 
 
-def stores_of(trial: Trial, make):
-    """A store factory that gives both sweeps the same stores: ``make``'s
-    empty ones, then the trial's warm entries."""
-    def stores(first, end):
-        table, below = make(first, end)
-        if trial.stores == "cold":
-            return table, below
+def warm_fill(trial: Trial):
+    """The fill that gives both sweeps the trial's stores: none for cold
+    stores; for warm ones, true stopping times of a seeded prefix of the
+    range and of some odd values just below the start."""
+    if trial.stores == "cold":
+        return None
+
+    def fill(first, table, below):
         rng = random.Random(trial.seed)
         memo = {}
         below_max = min(first, 2**32)
-        # true stopping times of a prefix of the range, and of some odd
-        # values just below the start
         fill_true_entries(table, first, rng.randrange(len(table) + 1), memo)
         for y in range(max(3, below_max - 400) | 1, below_max, 2):
             if rng.random() < 0.3:
                 below[y] = unit_step_sigma_memo(y, memo)
-        return table, below
-    return stores
+    return fill
 
 
-def recording(stores, tables):
-    """``stores``, with each table it makes kept in ``tables``."""
+def recording(stores, runs, fill=None):
+    """``stores``, with ``fill(first, table, below)`` run on each fresh pair
+    it makes, when given, and each pair kept in ``runs`` as
+    (first, table, below)."""
     def recorded(first, end):
         table, below = stores(first, end)
-        tables.append(table)
+        if fill is not None:
+            fill(first, table, below)
+        runs.append((first, table, below))
         return table, below
     return recorded
 
@@ -190,8 +192,8 @@ def run_trial(trial: Trial, module=verify) -> str | None:
     ``trial``, or None when the reports and every member's stored stopping
     time agree."""
     make, profile = module._stores, module.derive_profile
-    tables = []
-    stores = recording(stores_of(trial, make), tables)
+    runs = []
+    stores = recording(make, runs, warm_fill(trial))
     args = (trial.start, trial.end, trial.class_filter, trial.budget)
     rows = rows_moving({trial.row[:2]: trial.row[2]} if trial.row else {})
     module._stores, module.derive_profile = stores, rows
@@ -204,6 +206,7 @@ def run_trial(trial: Trial, module=verify) -> str | None:
         return "report differs"
     members = trial.members()
     k, step = (members.start - (trial.start | 1)) >> 1, members.step >> 1
+    tables = [table for _, table, _ in runs]
     for d, got_sigma, want_sigma in zip(members, tables[0][k::step],
                                         tables[1][k::step]):
         if got_sigma != want_sigma:
@@ -238,14 +241,15 @@ def main(argv=None) -> int:
     print(f"{args.trials - failed_trials} of {args.trials} random trials same, "
           f"seed {args.seed} ({perf_counter() - t0:.1f} s)", flush=True)
     t0 = perf_counter()
-    make, tables = verify._stores, []
-    verify._stores = recording(make, tables)
+    make, runs = verify._stores, []
+    verify._stores = recording(make, runs)
     try:
         verify.verify_range(1, 10**7)
     finally:
         verify._stores = make
-    top = max(tables[0])
-    record = (2 * tables[0].index(top) + 1, top)
+    ((_, table, _),) = runs
+    top = max(table)
+    record = (2 * table.index(top) + 1, top)
     failed += record != RECORD_1E7
     print(f"record {'same' if record == RECORD_1E7 else 'DIFFERS'}: sigma "
           f"{record[1]} at {record[0]}, the largest below 1e7 "

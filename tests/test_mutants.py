@@ -32,7 +32,7 @@ import pytest
 import collatz_cover
 from collatz_cover import derive_profile, residue_class
 from oracles import unit_step_sigma, unit_step_sigma_memo
-from range_differential import make_trial, rows_moving, run_trial
+from range_differential import make_trial, recording, rows_moving, run_trial
 from test_cli import failing_fdopen
 from test_covering import cover_differs
 
@@ -55,19 +55,15 @@ def stored_sigma_differs(start, end, poison=None):
     {value: entry}, whose slots are left out of the comparison."""
     poison = poison or {}
 
+    def poisoned(first, table, below):
+        for y, entry in poison.items():
+            table[(y - first) >> 1] = entry
+
     def caught(module):
-        make, tables = module._stores, []
-
-        def stores(first, last):
-            table, below = make(first, last)
-            for y, entry in poison.items():
-                table[(y - first) >> 1] = entry
-            tables.append((first, table))
-            return table, below
-
-        module._stores = stores
+        runs = []
+        module._stores = recording(module._stores, runs, poisoned)
         module.verify_range(start, end)
-        ((first, table),) = tables
+        ((first, table, _),) = runs
         memo = {}
         return any(entry != unit_step_sigma_memo(y, memo)
                    for y, entry in zip(range(first, end + 1, 2), table)
@@ -80,7 +76,7 @@ def fill_takes_a_lane_of_2_31(module):
     members of the path 16k + 13, goes ahead when their target slice holds
     the lane 2^31 + 3 at 5, beside sigma(11) = 14: it must return False
     and leave the table as it was."""
-    (descent,) = [x for x in module._sweep_paths(None)[0] if x[:2] == (13, 16)]
+    (descent,) = [x for x in module._sweep_paths()[0] if x[:2] == (13, 16)]
     table = module._stores(1, 29)[0]
     table[(5 - 1) >> 1], table[(11 - 1) >> 1] = 2**31 + 3, 14
     before = table[:]

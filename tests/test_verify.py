@@ -17,7 +17,7 @@ from oracles import (fill_true_entries, reference_conjecture1,
                      reference_range_sweep, unit_step_odd_descent,
                      unit_step_odds, unit_step_sigma_memo)
 from range_differential import (ROW_MOVES, STORE_KINDS, make_trial,
-                                rows_moving, run_trial)
+                                recording, rows_moving, run_trial)
 
 
 def _oracle_deferred(first, end, budget):
@@ -31,20 +31,12 @@ def _budget_reason(d, budget):
 
 
 def _watch_stores(monkeypatch, fill=None):
-    """Wrap the range sweep's store factory. Each run appends its
-    (first, table, below-start dict) to the returned list, and the sweep
-    then fills them; ``fill(first, table)`` runs on the fresh table first."""
+    """Record the range sweep's stores (``range_differential.recording``).
+    Each run appends its (first, table, below-start dict) to the returned
+    list, after ``fill`` ran on them, and the sweep then fills them."""
     runs = []
-    make = verify_module._stores
-
-    def stores(first, end):
-        table, below = make(first, end)
-        if fill is not None:
-            fill(first, table)
-        runs.append((first, table, below))
-        return table, below
-
-    monkeypatch.setattr(verify_module, "_stores", stores)
+    monkeypatch.setattr(verify_module, "_stores",
+                        recording(verify_module._stores, runs, fill))
     return runs
 
 
@@ -56,7 +48,7 @@ def _table_entries(first, table):
 def _oracle_fill(limit):
     """A fill that stores the true stopping time of every odd value of the
     table up to ``limit``, as an earlier sweep would have."""
-    return lambda first, table: fill_true_entries(
+    return lambda first, table, below: fill_true_entries(
         table, first, min(len(table), (limit - first) // 2 + 1), {})
 
 
@@ -376,17 +368,12 @@ def test_range_memo_keeps_only_values_below_the_start(monkeypatch, start, end):
             self.rewrites += key in self
             super().__setitem__(key, value)
 
-    make = verify_module._stores
-    dicts = []
-
-    def stores(first, end):
-        table, _ = make(first, end)
-        dicts.append(RewriteCountingDict())
-        return table, dicts[-1]
-
-    monkeypatch.setattr(verify_module, "_stores", stores)
+    runs = []
+    monkeypatch.setattr(verify_module, "_stores", recording(
+        lambda first, end: (array("I", [0]) * ((end - first) // 2 + 1),
+                            RewriteCountingDict()), runs))
     assert verify_range(start, end).outcome == "pass"
-    (below,) = dicts
+    ((_, _, below),) = runs
     assert below and max(below) < min(start, 2**32)
     assert below.rewrites == 0
 
@@ -394,7 +381,7 @@ def test_range_memo_keeps_only_values_below_the_start(monkeypatch, start, end):
 def test_range_flags_a_cache_entry_the_table_contradicts(monkeypatch):
     # the recurrence comparison bites on stored entries: sigma(27) = 111, and
     # no walk reaches 27, since 27 * 2^m - 1 is never a multiple of 3
-    def poison(first, table):
+    def poison(first, table, below):
         table[(27 - first) >> 1] = 112
 
     _watch_stores(monkeypatch, poison)
@@ -440,7 +427,7 @@ def test_range_fills_no_descent_from_the_entry_of_1(monkeypatch):
     # the first odd step of 5 lands on 1. Every walk ends at 1 without
     # reading its table slot, so a wrong entry there must not reach
     # sigma(3) = 7 nor sigma(5) = 5
-    def poison(first, table):
+    def poison(first, table, below):
         table[0] = 50
 
     runs = _watch_stores(monkeypatch, poison)
@@ -452,7 +439,7 @@ def test_range_fills_no_descent_from_the_entry_of_1(monkeypatch):
 def test_range_reads_no_entry_of_1(monkeypatch):
     # a cold table but for a wrong entry of 1: a sweep that read it would
     # report according to the order in which it handles 5, 21, 85, ...
-    def poison(first, table):
+    def poison(first, table, below):
         table[0] = 50
 
     runs = _watch_stores(monkeypatch, poison)
@@ -599,28 +586,25 @@ def test_range_reports_as_the_per_d_sweep_on_random_shapes(trial):
 
 # ------------------------------------------------ the sweep's fill paths
 
-@pytest.mark.parametrize("class_filter", [None, 4, 9])
+# The path table is that of the sweep with no class filter (None); a class
+# sweep has no paths, and walks every member of its class.
+
+@pytest.mark.parametrize("class_filter", [None])
 def test_every_odd_value_lies_in_one_fill_path_or_scalar_class(class_filter):
     end = 2**17
-    paths, scalar, _ = verify_module._sweep_paths(class_filter)
+    paths, scalar, _ = verify_module._sweep_paths()
     hits = array("I", [0]) * (end // 2)
     for residue, stride in [x[:2] for x in paths] + scalar:
         for d in range(residue, end, stride):
             hits[d >> 1] += 1
-    assert list(hits) == [
-        int(class_filter in (None, RESIDUE_ORDER.index(d % 18) + 1))
-        for d in range(1, end, 2)]
+    assert set(hits) == {1}
 
 
-@pytest.mark.parametrize("class_filter", [None, 4])
+@pytest.mark.parametrize("class_filter", [None])
 def test_fill_paths_follow_the_unit_step_walk(class_filter):
     # each path's target is the first odd value below d, c odd steps and
-    # c + e unit steps on, as the unit steps find; a class sweep has no
-    # paths, and every member walks
-    paths, _, _ = verify_module._sweep_paths(class_filter)
-    if class_filter is not None:
-        assert paths == []
-        return
+    # c + e unit steps on, as the unit steps find
+    paths, _, _ = verify_module._sweep_paths()
     limit = 2 ** (verify_module._PATH_BITS + 2)
     checked = 0
     for residue, stride, e, p, b, steps, gap in paths:
@@ -641,12 +625,10 @@ def test_jump_table_follows_the_unit_step_walk():
     # entry r takes every odd x = r (mod 2^12) to its c-th odd value, c + e
     # unit steps on, and every odd value before it lies above x: for a
     # path's residue that value is x's first descent, for a scalar residue
-    # it is the last that r fixes, still above x. Small x included. A
-    # class sweep walks by the same jumps
-    paths, _, jumps = verify_module._sweep_paths(None)
+    # it is the last that r fixes, still above x. Small x included
+    paths, _, jumps = verify_module._sweep_paths()
     modulus = 1 << verify_module._PATH_BITS
     assert len(jumps) == modulus
-    assert all(verify_module._sweep_paths(k)[2] == jumps for k in range(1, 10))
     assert all(entry is None for entry in jumps[::2])
     # r fixes not even the first odd step only where 2^12 divides 3r + 1
     assert [r for r in range(1, modulus, 2) if jumps[r] is None] == [
@@ -696,7 +678,7 @@ def _fill_by_entries(table, first, d, n, descent, cap):
 
 
 # the paths with at least two odd values on the way to the target
-_DEEP_PATHS = [x for x in verify_module._sweep_paths(None)[0] if x[3] >= 27]
+_DEEP_PATHS = [x for x in verify_module._sweep_paths()[0] if x[3] >= 27]
 
 
 def _lane_values(limit):
