@@ -60,8 +60,8 @@ _SETTINGS = {"max_m": (int, 18), "budget": (int, DEFAULT_BUDGET),
              "format": (str, "text")}
 
 
-class UsageError(Exception):
-    """Bad arguments or configuration; maps to exit code 2."""
+class UsageError(ValueError):
+    """Bad arguments or configuration: a ValueError, so it exits 2."""
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -393,13 +393,10 @@ def _run(argv) -> int:
     try:
         resolve_config(args)
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UnicodeEncodeError as exc:  # a ValueError, but stdout's fault
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:  # parameter validation from the library
+    except ValueError as exc:  # a UsageError, or the library's checks
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

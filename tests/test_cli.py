@@ -11,6 +11,7 @@ import pytest
 
 import collatz_cover
 import collatz_cover.cli as cli
+import collatz_cover.verify as verify_module
 from collatz_cover.cli import main
 from range_differential import rows_moving
 
@@ -185,6 +186,23 @@ def test_verify_sigma_relation(capsys):
     assert "outcome: pass" in out
 
 
+def test_a_failing_report_exits_1(capsys, monkeypatch):
+    # row (1, 1) moved one modulus up fails its 56 members up to 2001: 19,
+    # its n = 0 member, fails reconstruction, and the other 55 boundedness
+    monkeypatch.setattr(verify_module, "derive_profile",
+                        rows_moving({(1, 1): "+modulus"}))
+    code, out, err = run(capsys, "verify", "conjecture1", "--bound", "2001")
+    assert code == 1
+    assert "outcome: fail\n" in out
+    assert "counterexamples: 56\n" in out
+    assert err.startswith("# conjecture1-bounded: fail (1001 items, ")
+    code, out, _ = run(capsys, "verify", "range", "--end", "2001",
+                       "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert (report["outcome"], len(report["counterexamples"])) == ("fail", 56)
+
+
 @pytest.mark.parametrize("budget", range(1, 9))
 def test_verify_sigma_relation_defers_worked_pair_past_the_budget(capsys, budget):
     # sigma(13) = 9 exceeds every budget below 9
@@ -288,6 +306,22 @@ def test_config_rejects_malformed_line(capsys, tmp_path):
     assert "key=value" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("table", "--max-m", "0"), "max_m must be >= 1, got 0"),
+    (("sigma", "27", "--budget", "0"), "budget must be >= 1, got 0"),
+])
+def test_a_setting_below_1_is_a_usage_error(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("COLLATZ_COVER_CONFIG", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+def test_config_rejects_a_missing_file(capsys, tmp_path):
+    code, out, err = run(capsys, "table", "--config", str(tmp_path / "none.conf"))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: cannot read config file: ")
+
+
 def test_config_rejects_bad_int(capsys, tmp_path):
     config = tmp_path / "cover.conf"
     config.write_text("max_m = lots\n")
@@ -297,7 +331,8 @@ def test_config_rejects_bad_int(capsys, tmp_path):
 
 def test_config_value_must_parse_even_under_a_flag(capsys, tmp_path):
     # a bad integer in the file is a usage error even where a flag sets its
-    # key; a bad format in the file is overridden by --format unread
+    # key; a bad format in the file is overridden by --format unread, and
+    # is a usage error without it
     config = tmp_path / "cover.conf"
     config.write_text("max_m = lots\n")
     code, out, err = run(capsys, "table", "--max-m", "3", "--config", str(config))
@@ -308,6 +343,8 @@ def test_config_value_must_parse_even_under_a_flag(capsys, tmp_path):
                          "--config", str(config))
     assert (code, err) == (0, "")
     assert out == run(capsys, "table", "--max-m", "1", "--format", "csv")[1]
+    code, out, err = run(capsys, "table", "--config", str(config))
+    assert (code, out, err) == (2, "", "usage error: unknown format 'xml'\n")
 
 
 def test_config_budget_reaches_the_range_sweep(capsys, tmp_path):

@@ -224,6 +224,11 @@ def test_cover_audit_rejects_tiny_bound():
         cover_audit(2, 18)
 
 
+def test_cover_audit_rejects_a_depth_below_1():
+    with pytest.raises(ValueError, match=r"^max_m must be >= 1, got 0$"):
+        cover_audit(2001, 0)
+
+
 @pytest.mark.parametrize("bound", [3, 5001, 10007])
 def test_membership_counts_match_brute_force(bound):
     # odd bounds are multiples of no modulus, so every stride ends mid-period

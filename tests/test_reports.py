@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from collatz_cover import (Counterexample, Deferred, VerifyReport, build_report,
                            report_to_json, report_to_text)
+from collatz_cover.reports import render_rows
 
 
 def test_outcome_pass():
@@ -98,3 +99,8 @@ def test_text_summary_truncates():
         counterexamples=[Counterexample(i, "a", "b") for i in range(15)])
     text = report_to_text(report)
     assert "(+5 more)" in text
+
+
+def test_render_rows_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match=r"^unknown format 'xml'"):
+        render_rows([{"d": 1}], "xml", lambda rows: "d=1\n")

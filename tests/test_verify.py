@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import collatz_cover.verify as verify_module
 from collatz_cover import (cover_audit, derive_profile, report_to_json,
-                           residue_class, verify_conjecture1, verify_cyclic,
+                           residue_class, sigma_infinity,
+                           verify_conjecture1, verify_cyclic,
                            verify_range, verify_sigma_relation,
                            verify_theorem1_symbolic)
 from collatz_cover.covering import RESIDUE_ORDER, cyclic_recurrence_check
@@ -206,6 +207,16 @@ def test_sigma_relation_fills_a_given_cache_with_true_stopping_times(monkeypatch
     memo = {}
     assert _table_entries(first, table) == {
         d: unit_step_sigma_memo(d, memo) for d in range(3, 4002, 2)}
+
+
+def test_sigma_relation_fails_a_wrong_worked_value(monkeypatch):
+    # the worked pair is walked apart from the sweep, so a walk one step too
+    # long at 13 fails it alone
+    monkeypatch.setattr(verify_module, "sigma_infinity", lambda n, budget:
+                        sigma_infinity(n, budget=budget) + (n == 13))
+    report = verify_sigma_relation(2001)
+    assert report.outcome == "fail"
+    assert report.counterexamples == ((13, "sigma 9", "10"),)
 
 
 def test_sigma_relation_rejects_bad_bound():
