@@ -1,7 +1,8 @@
 """Command-line surface wiring the library into reproducible batch commands.
 
 Settings: ``_SETTINGS`` holds each setting's config key, type and built-in
-default; the flag of the same name (``--max-m`` for max_m) sets it too.
+default. Only a command or verify check that reads a setting takes its flag
+(``--max-m`` for max_m), but the config file applies to every command.
 Precedence: the built-in default, then the key=value config file named by
 the COLLATZ_COVER_CONFIG environment variable (or --config), then the flag.
 Stdout carries data only and is byte-identical for identical inputs; logs
@@ -97,68 +98,38 @@ def resolve_config(args: argparse.Namespace) -> None:
             value = kind(raw)
         except ValueError as exc:
             raise UsageError(f"config key {key} needs an integer, got {raw!r}") from exc
-        if getattr(args, key) is None:
+        if getattr(args, key, None) is None:
             setattr(args, key, value)
     for key in ("max_m", "budget"):
         if getattr(args, key) < 1:
             raise UsageError(f"{key} must be >= 1, got {getattr(args, key)}")
     if args.format not in FORMATS:
         raise UsageError(f"unknown format {args.format!r}")
-    # --cache and --threads stay accepted while perfbench/ still passes them
-    if args.threads is not None and args.threads < 1:
-        raise UsageError(f"threads must be >= 1, got {args.threads}")
-    if args.cache is not None:
-        print(f"note: --cache is ignored; {args.cache} is neither read nor written",
-              file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-m", dest="max_m", type=int,
-                        help="deepest exponent row to derive "
-                             f"(default {_SETTINGS['max_m'][1]})")
-    common.add_argument("--budget", type=int,
-                        help="unit-step ceiling per stopping-time input")
-    common.add_argument("--cache", metavar="FILE",
-                        help="ignored: no stopping-time cache file is kept")
-    common.add_argument("--format", choices=FORMATS,
-                        help=f"output format (default {_SETTINGS['format'][1]})")
-    common.add_argument("--threads", type=int,
-                        help="ignored (must be >= 1): sweeps run serially")
-    common.add_argument("--output", metavar="FILE", help="write data here instead of stdout")
-    common.add_argument("--config", metavar="FILE",
-                        help=f"key=value config file (also via ${CONFIG_ENV})")
-
     parser = argparse.ArgumentParser(
         prog="collatz-cover",
         description="Residue-class covering system for Collatz dynamics: "
                     "derived progression tables, the generalized map, stopping "
                     "times, and machine verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", parents=[common],
-                       help="emit the derived progression table")
-    p.add_argument("--class", dest="class_index", type=int,
-                   help="restrict to one class index (1..9)")
-
-    p = sub.add_parser("map", parents=[common],
-                       help="emit the generalized map or the stopping-time map")
-    p.add_argument("which", choices=("schema", "sigma"))
-
-    p = sub.add_parser("sigma", parents=[common],
-                       help="total stopping times for the given integers")
-    p.add_argument("values", nargs="+", metavar="N",
-                   help="positive integers (decimal, any size)")
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="residue class and progression of odd integers")
-    p.add_argument("values", nargs="+", metavar="D")
-
-    p = sub.add_parser("verify", parents=[common], help="run one machine check")
-    p.add_argument("check", choices=tuple(_CHECKS))
-    for flag, (dest, text) in _CHECK_FLAGS.items():
-        readers = ", ".join(c for c, (reads, _, _) in _CHECKS.items() if flag in reads)
-        p.add_argument(flag, dest=dest, type=int, help=f"{readers}: {text}")
+    commands = {}
+    for command, (_, text, reads) in _COMMANDS.items():
+        p = commands[command] = sub.add_parser(command, help=text)
+        for flag, keywords in _FLAGS.items():
+            checks = [c for c, (r, _, _) in _CHECKS.items() if flag in r]
+            if command == "verify" and checks:
+                keywords = {**keywords,
+                            "help": f"{', '.join(checks)}: {keywords['help']}"}
+            elif flag not in ("--format", "--output", "--config", *reads):
+                continue
+            p.add_argument(flag, **keywords)
+    commands["map"].add_argument("which", choices=("schema", "sigma"))
+    commands["sigma"].add_argument("values", nargs="+", metavar="N",
+                                   help="positive integers (decimal, any size)")
+    commands["classify"].add_argument("values", nargs="+", metavar="D")
+    commands["verify"].add_argument("check", choices=tuple(_CHECKS))
     return parser
 
 
@@ -302,38 +273,61 @@ def _classify_text(rows: list[dict]) -> str:
         for r in rows)
 
 
-#: Each verify check flag: the attribute it is parsed into, None when the
-#: flag is not given, and its help.
-_CHECK_FLAGS = {"--bound": ("bound", "inclusive bound"),
-                "--start": ("start", "range start (default 1)"),
-                "--end": ("end", "range end"),
-                "--class": ("class_index", "restrict the sweep to one class")}
+#: Each flag's add_argument keywords; a flag not given parses to None.
+_FLAGS = {
+    "--max-m": dict(dest="max_m", type=int, help="deepest exponent row to derive "
+                    f"(default {_SETTINGS['max_m'][1]})"),
+    "--budget": dict(type=int, help="unit-step ceiling per stopping-time input"),
+    "--cache": dict(metavar="FILE", help="ignored: no stopping-time cache file is kept"),
+    "--format": dict(choices=FORMATS,
+                     help=f"output format (default {_SETTINGS['format'][1]})"),
+    "--threads": dict(type=int, help="ignored (must be >= 1): sweeps run serially"),
+    "--output": dict(metavar="FILE", help="write data here instead of stdout"),
+    "--config": dict(metavar="FILE",
+                     help=f"key=value config file (also via ${CONFIG_ENV})"),
+    "--bound": dict(type=int, help="inclusive bound"),
+    "--start": dict(type=int, help="range start (default 1)"),
+    "--end": dict(type=int, help="range end"),
+    "--class": dict(dest="class_index", type=int,
+                    help="restrict to one class index (1..9)"),
+}
 
-#: Each verify check: the check flags it reads, the one it needs, which sizes
-#: its table or list (None if it has neither), and its call. A call looks its
+#: Each verify check: the flags it reads, the one it needs, which sizes its
+#: table or list (None if it has neither), and its call. A call looks its
 #: function up here when it runs, so a wrapper set on this module is called.
 _CHECKS = {
-    "theorem1": ((), None, lambda a: verify_theorem1_symbolic(a.max_m)),
+    "theorem1": (("--max-m",), None, lambda a: verify_theorem1_symbolic(a.max_m)),
     "conjecture1": (("--bound", "--start"), "--bound",
                     lambda a: verify_conjecture1(a.bound, start=a.start)),
-    "sigma-relation": (("--bound",), "--bound",
+    "sigma-relation": (("--bound", "--budget"), "--bound",
                        lambda a: verify_sigma_relation(a.bound, budget=a.budget)),
-    "cover": (("--bound",), "--bound", lambda a: cover_audit(a.bound, a.max_m)),
+    "cover": (("--bound", "--max-m"), "--bound",
+              lambda a: cover_audit(a.bound, a.max_m)),
     "cyclic": ((), None, lambda a: verify_cyclic()),
-    "range": (("--start", "--end", "--class"), "--end",
+    "range": (("--start", "--end", "--class", "--budget"), "--end",
               lambda a: verify_range(a.start, a.end, class_filter=a.class_index,
                                      budget=a.budget)),
 }
 
 
+def _refuse_unread(args: argparse.Namespace) -> None:
+    """Refuse a flag given to verify that its check does not read."""
+    reads = _CHECKS[args.check][0]
+    for flag in [f for other, _, _ in _CHECKS.values() for f in other if f not in reads]:
+        if getattr(args, _FLAGS[flag].get("dest", flag[2:])) is not None:
+            raise UsageError(f"verify {args.check} takes no {flag}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "csv":
         raise UsageError("verify reports support text or json output")
-    reads, sized_by, call = _CHECKS[args.check]
-    for flag, (dest, _) in _CHECK_FLAGS.items():
-        if flag not in reads and getattr(args, dest) is not None:
-            raise UsageError(f"verify {args.check} takes no {flag}")
-    size = getattr(args, _CHECK_FLAGS[sized_by][0]) if sized_by else None
+    if args.threads is not None and args.threads < 1:
+        raise UsageError(f"threads must be >= 1, got {args.threads}")
+    if args.cache is not None:
+        print(f"note: --cache is ignored; {args.cache} is neither read nor written",
+              file=sys.stderr)
+    _, sized_by, call = _CHECKS[args.check]
+    size = getattr(args, _FLAGS[sized_by].get("dest", sized_by[2:])) if sized_by else None
     if sized_by and size is None:
         raise UsageError(f"verify {args.check} needs {sized_by}")
     if args.start is None:
@@ -364,12 +358,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FAIL
 
 
-_HANDLERS = {
-    "table": cmd_table,
-    "map": cmd_map,
-    "sigma": cmd_sigma,
-    "classify": cmd_classify,
-    "verify": cmd_verify,
+#: Each command's handler, help and flags read beside --format, --output and
+#: --config; verify takes its checks' flags too, and --cache and --threads,
+#: inert, while perfbench/ still passes them. No other flag parses.
+_COMMANDS = {
+    "table": (cmd_table, "emit the derived progression table", ("--max-m", "--class")),
+    "map": (cmd_map, "emit the generalized map or the stopping-time map", ("--max-m",)),
+    "sigma": (cmd_sigma, "total stopping times for the given integers", ("--budget",)),
+    "classify": (cmd_classify, "residue class and progression of odd integers", ()),
+    "verify": (cmd_verify, "run one machine check", ("--cache", "--threads")),
 }
 
 
@@ -391,8 +388,10 @@ def _run(argv) -> int:
     except SystemExit as exc:  # argparse already reported usage/help
         return int(exc.code or 0)
     try:
+        if args.command == "verify":  # before the config file sets what no flag did
+            _refuse_unread(args)
         resolve_config(args)
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UnicodeEncodeError as exc:  # a ValueError, but stdout's fault
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 from array import array
 from collections import Counter
+from functools import cache
 from itertools import chain
 from operator import itemgetter
 from sys import byteorder, maxsize
@@ -86,10 +87,12 @@ _PATH_BITS = 12
 _LISTED_BYTES = 1300
 
 
+@cache
 def _sweep_paths():
     """The range sweep's one path table, ``(paths, scalar, jumps)``: a
     partition of the odd d into fill paths and scalar classes, and the
-    walk's jumps by residue mod 2^_PATH_BITS.
+    walk's jumps by residue mod 2^_PATH_BITS. It is built once per process
+    and shared, so each part is a tuple.
 
     The residue of d mod 2^(e+1) fixes the odd-to-odd steps of d until e
     halvings (Terras 1976). One descent from d itself (c = 0) splits the odd
@@ -138,7 +141,7 @@ def _sweep_paths():
                 return []
 
     scalar = descend(1, 1, 0, 0, 0)
-    return paths, scalar, jumps
+    return tuple(paths), tuple(scalar), tuple(jumps)
 
 
 def _nonzero(v: int, low: int, top: int) -> int:

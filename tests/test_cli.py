@@ -226,11 +226,13 @@ def test_verify_conjecture1_requires_bound(capsys):
 
 #: The check flags each verify check reads, and the report parameter that
 #: shows each read flag's value.
-CHECK_READS = {"theorem1": (), "conjecture1": ("--bound", "--start"),
-               "sigma-relation": ("--bound",), "cover": ("--bound",),
-               "cyclic": (), "range": ("--start", "--end", "--class")}
+CHECK_READS = {"theorem1": ("--max-m",), "conjecture1": ("--bound", "--start"),
+               "sigma-relation": ("--bound", "--budget"),
+               "cover": ("--bound", "--max-m"), "cyclic": (),
+               "range": ("--start", "--end", "--class", "--budget")}
 FLAG_PARAMS = {"--bound": ("bound", 99), "--start": ("start", 51),
-               "--end": ("end", 99), "--class": ("class_filter", 3)}
+               "--end": ("end", 99), "--class": ("class_filter", 3),
+               "--max-m": ("max_m", 10), "--budget": ("budget", 500)}
 
 
 @pytest.mark.parametrize("flag", FLAG_PARAMS)
@@ -248,6 +250,49 @@ def test_a_check_takes_only_the_flags_it_reads(capsys, check, flag):
     assert code == 0
     key, value = FLAG_PARAMS[flag]
     assert json.loads(out)["params"][key] == value
+
+
+#: The setting flags each other command reads, and what each read flag is
+#: given: a value that changes the command's output from the default one.
+COMMAND_READS = {"table": ("--max-m",), "map": ("--max-m",), "sigma": ("--budget",),
+                 "classify": ()}
+COMMAND_ARGV = {"table": ("table",), "map": ("map", "schema"), "sigma": ("sigma", "27"),
+                "classify": ("classify", "27")}
+
+
+@pytest.mark.parametrize("flag", ["--max-m", "--budget", "--cache", "--threads"])
+@pytest.mark.parametrize("command", COMMAND_READS)
+def test_a_command_takes_only_the_flags_it_reads(capsys, tmp_path, command, flag):
+    value = {"--max-m": "2", "--budget": "50", "--cache": str(tmp_path / "sigma.csig"),
+             "--threads": "1"}[flag]
+    code, out, err = run(capsys, *COMMAND_ARGV[command], flag, value)
+    if flag not in COMMAND_READS[command]:
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} {value}" in err
+        return
+    assert code == (3 if flag == "--budget" else 0)  # sigma(27) = 111 > 50
+    assert out and out != run(capsys, *COMMAND_ARGV[command])[1]
+
+
+def test_the_config_file_sets_a_setting_that_no_flag_may(capsys, tmp_path, monkeypatch):
+    # max_m and budget apply from the file to every command, whether or not
+    # the command or check takes their flags, and are checked for each one
+    config = tmp_path / "cover.conf"
+    config.write_text("max_m = 5\nbudget = 500\n")
+    monkeypatch.setenv("COLLATZ_COVER_CONFIG", str(config))
+    for argv in (("sigma", "27"), ("classify", "27")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("d=27 ")
+    code, out, _ = run(capsys, "verify", "range", "--end", "99", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"]["budget"] == 500
+    code, out, _ = run(capsys, "verify", "theorem1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["items_checked"] == 9 * 5
+    config.write_text("max_m = 0\n")
+    code, out, err = run(capsys, "sigma", "27")
+    assert (code, out, err) == (2, "", "usage error: max_m must be >= 1, got 0\n")
 
 
 def test_verify_takes_its_flags_before_the_check(capsys):
@@ -624,7 +669,6 @@ def test_stdout_reproducible(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "range", "--end", "20001", "--format", "json"),
     ("verify", "sigma-relation", "--bound", "20001"),
-    ("sigma", "27", "13"),
     ("verify", "cyclic"),
 ])
 def test_cache_and_threads_flags_are_inert(capsys, tmp_path, argv):

@@ -605,7 +605,7 @@ def test_every_odd_value_lies_in_one_fill_path_or_scalar_class(class_filter):
     end = 2**17
     paths, scalar, _ = verify_module._sweep_paths()
     hits = array("I", [0]) * (end // 2)
-    for residue, stride in [x[:2] for x in paths] + scalar:
+    for residue, stride in [*(x[:2] for x in paths), *scalar]:
         for d in range(residue, end, stride):
             hits[d >> 1] += 1
     assert set(hits) == {1}
@@ -630,6 +630,15 @@ def test_fill_paths_follow_the_unit_step_walk(class_filter):
             assert len(descent) == steps - e, d
             checked += 1
     assert checked > limit // 3
+
+
+def test_the_path_table_is_built_once_and_shared_frozen():
+    # every sweep reads the one table, so no caller may change it
+    table = verify_module._sweep_paths()
+    assert verify_module._sweep_paths() is table
+    for part in table:
+        assert type(part) is tuple
+        assert all(entry is None or type(entry) is tuple for entry in part)
 
 
 def test_jump_table_follows_the_unit_step_walk():
