@@ -669,6 +669,7 @@ def test_stdout_reproducible(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "range", "--end", "20001", "--format", "json"),
     ("verify", "sigma-relation", "--bound", "20001"),
+    ("verify", "conjecture1", "--bound", "20001"),
     ("verify", "cyclic"),
 ])
 def test_cache_and_threads_flags_are_inert(capsys, tmp_path, argv):
